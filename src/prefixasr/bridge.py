@@ -16,22 +16,12 @@ from .layers import init_bias, init_weight
 from .numcore import Tensor, as_tensor, ops
 from .numcore.rng import generator
 
-ENCODER_FRAME_MS = 80
-
 
 @dataclass
 class StackConfig:
     n: int = 3
     d_encoder: int = 64
     d_llm: int = 128
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"stacking factor must be >= 1, got {self.n}")
-
-    @property
-    def frame_ms(self) -> int:
-        return ENCODER_FRAME_MS * self.n
 
 
 def stacked_length(U: int, n: int) -> int:
@@ -49,12 +39,6 @@ def stack_frames(embeddings: Tensor | np.ndarray, n: int) -> Tensor:
         pad = Tensor(np.zeros((M * n - U, d), dtype=x.data.dtype))
         x = ops.concat([x, pad], axis=0)
     return x.reshape(M, n * d)
-
-
-def unstack_frames(stacked: np.ndarray, n: int, U: int) -> np.ndarray:
-    """Inverse of stack_frames for the first U rows."""
-    M, nd = stacked.shape
-    return stacked.reshape(M * n, nd // n)[:U]
 
 
 class Bridge:

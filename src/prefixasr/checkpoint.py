@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +51,8 @@ class ModelCheckpoint:
 
 
 def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
+    """Write via a temp file in the same directory, then rename it onto path,
+    so an interrupted save leaves the previous file intact."""
     meta = {"config": ckpt.config, **ckpt.metadata}
     meta_blob = json.dumps(meta, sort_keys=True).encode()
     out = bytearray()
@@ -69,7 +72,13 @@ def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
         out += struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += arr.tobytes()
-    Path(path).write_bytes(bytes(out))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(bytes(out))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> ModelCheckpoint:

@@ -1,17 +1,21 @@
 """Declarative run configuration: YAML file + dotted --set overrides.
 
-Unknown keys are rejected so an ablation config can never silently drift from
-the architecture it describes. The canonical dict form feeds the checkpoint
+Unknown keys, values of the wrong type and values out of range are rejected
+at load time, so an ablation config can never silently drift from the
+architecture it describes. The canonical dict form feeds the checkpoint
 config digest.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
+
+from .numcore.optim import LrSchedule
 
 
 class ConfigError(ValueError):
@@ -39,13 +43,25 @@ class EncoderSection:
     num_heads: int = 4
     subsample_stride: int = 8
     subsample_channels: int = 64
-    max_frames: int = 256
+    max_frames: int = 256        # post-subsampling positions
     dropout: float = 0.1
+
+    def __post_init__(self):
+        if self.num_heads < 1 or self.d_model % self.num_heads != 0:
+            raise ConfigError("num_heads must be positive and divide d_model")
+        if self.conv_kernel % 2 != 1:
+            raise ConfigError("conv_kernel must be odd")
+        if self.subsample_stride < 1 or self.subsample_stride & (self.subsample_stride - 1):
+            raise ConfigError("subsample_stride must be a power of 2")
 
 
 @dataclass
 class BridgeSection:
     stack_n: int = 3
+
+    def __post_init__(self):
+        if self.stack_n < 1:
+            raise ConfigError("stack_n must be >= 1")
 
 
 @dataclass
@@ -59,11 +75,19 @@ class LmSection:
     dropout: float = 0.1
     train_embeddings: bool = False
 
+    def __post_init__(self):
+        if self.num_heads < 1 or self.d_llm % self.num_heads != 0:
+            raise ConfigError("num_heads must be positive and divide d_llm")
+
 
 @dataclass
 class LoraSection:
     rank: int = 8
     alpha: float = 16.0
+
+    def __post_init__(self):
+        if self.rank < 0:
+            raise ConfigError("rank must be >= 0")
 
 
 @dataclass
@@ -73,6 +97,13 @@ class StageSection:
     warmup_steps: int = 200
     total_steps: int = 10000
     max_steps: int = 2000
+
+    def __post_init__(self):
+        self.schedule()  # rejects warmup_steps >= total_steps, bad lr order
+
+    def schedule(self) -> LrSchedule:
+        return LrSchedule(peak_lr=self.peak_lr, final_lr=self.final_lr,
+                          warmup_steps=self.warmup_steps, total_steps=self.total_steps)
 
 
 @dataclass
@@ -95,6 +126,8 @@ class TrainingSection:
             raise ConfigError("mask_fraction must lie in [0, 1]")
         if self.batch_seconds <= 0:
             raise ConfigError("batch_seconds must be positive")
+        if self.eval_interval < 1:
+            raise ConfigError("eval_interval must be >= 1")
 
 
 @dataclass
@@ -116,16 +149,23 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+def _check_scalar(value, hint, path: str):
+    """A bool is not an int; an int is accepted where a float is expected."""
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+
+
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected a mapping")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
     if cls is LmSection and "preset" in data:
         preset = data["preset"]
-        if preset not in LM_PRESETS:
+        if not isinstance(preset, str) or preset not in LM_PRESETS:
             raise ConfigError(f"{path}: unknown lm preset {preset!r}")
         merged = dict(LM_PRESETS[preset])
         merged.update({k: v for k, v in data.items() if k != "preset"})
@@ -133,26 +173,16 @@ def _build(cls, data: dict, path: str):
         data = merged
     kwargs = {}
     for name, value in data.items():
-        ftype = fields[name].type
-        sub = _SECTION_TYPES.get((cls, name))
-        kwargs[name] = _build(sub, value, f"{path}.{name}" if path else name) if sub else value
+        where = f"{path}.{name}" if path else name
+        if dataclasses.is_dataclass(hints[name]):
+            kwargs[name] = _build(hints[name], value, where)
+        else:
+            _check_scalar(value, hints[name], where)
+            kwargs[name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
-
-
-_SECTION_TYPES = {
-    (RunConfig, "frontend"): FrontendSection,
-    (RunConfig, "encoder"): EncoderSection,
-    (RunConfig, "bridge"): BridgeSection,
-    (RunConfig, "lm"): LmSection,
-    (RunConfig, "lora"): LoraSection,
-    (RunConfig, "training"): TrainingSection,
-    (RunConfig, "eval"): EvalSection,
-    (TrainingSection, "pretrain"): StageSection,
-    (TrainingSection, "joint"): StageSection,
-}
 
 
 def from_dict(data: dict) -> RunConfig:

@@ -9,7 +9,6 @@ A path-enumeration oracle (`ctc_brute_force`) verifies both.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +17,6 @@ from .numcore.tensor import make
 
 BLANK = 0
 NEG_INF = -np.inf
-
-
-@dataclass
-class CtcBatchItem:
-    log_probs: np.ndarray  # (U, V+1), rows log-softmax normalized
-    labels: list[int]      # no blanks, ids in 1..V
 
 
 def extended_labels(labels) -> np.ndarray:
@@ -79,19 +72,6 @@ def _beta(lp: np.ndarray, ext: np.ndarray) -> np.ndarray:
         acc = np.where(skip, np.logaddexp(acc, jump), acc)
         beta[t] = acc + lp[t, ext]
     return beta
-
-
-def ctc_log_likelihood(log_probs: np.ndarray, labels) -> float:
-    """log P(labels | log_probs); -inf when infeasible."""
-    labels = list(labels)
-    U = log_probs.shape[0]
-    if min_frames(labels) > U:
-        return NEG_INF
-    ext = extended_labels(labels)
-    alpha = _alpha(np.asarray(log_probs, dtype=np.float64), ext)
-    if len(ext) > 1:
-        return float(np.logaddexp(alpha[-1, -1], alpha[-1, -2]))
-    return float(alpha[-1, -1])
 
 
 def ctc_loss(log_probs: Tensor | np.ndarray, labels) -> Tensor:

@@ -8,10 +8,11 @@ LoRA adapters on the attention q/k/v/output projections carry the update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LmSection
 from .layers import (attention, causal_mask, init_bias, init_embedding,
                      init_ones, init_weight)
 from .numcore import Tensor, no_grad, ops, param
@@ -23,23 +24,14 @@ MAX_DECODE_TOKENS = 200
 LORA_TARGETS = ("wq", "wk", "wv", "wo")
 
 
-@dataclass
-class LmConfig:
+@dataclass(kw_only=True)
+class LmConfig(LmSection):
+    """The config section plus what the tokenizer decides."""
     vocab_size: int
-    d_llm: int = 128
-    num_layers: int = 2
-    num_heads: int = 4
-    ffn_dim: int = 256
-    max_positions: int = 512
     pad_id: int = PAD
     unk_id: int = UNK
     bos_id: int = BOS
     eos_id: int = EOS
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.d_llm % self.num_heads != 0:
-            raise ValueError("d_llm must divide evenly into heads")
 
 
 @dataclass

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import FeatureMatrix
+from .config import EncoderSection
+from .frontend import FeatureMatrix, NUM_MELS
 from .layers import (attention, init_bias, init_conv_weight,
                      init_depthwise_weight, init_embedding, init_ones,
                      init_weight)
@@ -24,36 +25,10 @@ from .numcore.rng import generator
 
 
 @dataclass
-class EncoderConfig:
-    num_layers: int = 2
-    d_model: int = 64
-    ffn_dim: int = 128
-    conv_kernel: int = 11
-    num_heads: int = 4
-    subsample_stride: int = 8
+class EncoderConfig(EncoderSection):
+    """The config section plus what the data decides."""
     ctc_vocab: int = 30          # non-blank symbols; head emits ctc_vocab+1
-    num_features: int = 80
-    subsample_channels: int = 64
-    max_frames: int = 256        # post-subsampling positions
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.d_model % self.num_heads != 0:
-            raise ValueError("d_model must divide evenly into heads")
-        if self.conv_kernel % 2 != 1:
-            raise ValueError("conv_kernel must be odd")
-        if self.subsample_stride & (self.subsample_stride - 1):
-            raise ValueError("subsample_stride must be a power of 2")
-
-
-@dataclass
-class AudioEmbeddingSeq:
-    vectors: np.ndarray  # (U, d_model)
-    frame_ms: int = 80
-
-
-def output_length(T: int, stride: int = 8) -> int:
-    return math.ceil(T / stride)
+    num_features: int = NUM_MELS
 
 
 class ConformerEncoder:

@@ -7,10 +7,8 @@ frame rate are externally constrained, the rest follows common ASR practice.
 
 from __future__ import annotations
 
-import struct
 import wave
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import resample_poly
@@ -22,9 +20,6 @@ NUM_FFT = 512
 NUM_MELS = 80
 MAX_SECONDS = 20.0
 LOG_FLOOR = 1e-10
-
-FEATURE_MAGIC = b"FEAT"
-FEATURE_VERSION = 1
 
 
 class AudioError(ValueError):
@@ -149,21 +144,3 @@ def log_mel(waveform: Waveform, normalizer: FeatureNormalizer | None = None) -> 
     if not np.all(np.isfinite(feats)):
         raise AudioError("non-finite values in features")
     return FeatureMatrix(frames=feats)
-
-
-def write_features(path, matrix: FeatureMatrix) -> None:
-    frames = np.ascontiguousarray(matrix.frames, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", FEATURE_MAGIC, FEATURE_VERSION, *frames.shape))
-        f.write(frames.tobytes())
-
-
-def read_features(path) -> FeatureMatrix:
-    data = Path(path).read_bytes()
-    magic, version, t, d = struct.unpack_from("<4sIII", data, 0)
-    if magic != FEATURE_MAGIC:
-        raise AudioError(f"{path}: bad feature file magic {magic!r}")
-    if version != FEATURE_VERSION:
-        raise AudioError(f"{path}: unsupported feature version {version}")
-    frames = np.frombuffer(data, dtype="<f4", offset=16, count=t * d).reshape(t, d)
-    return FeatureMatrix(frames=frames.copy())

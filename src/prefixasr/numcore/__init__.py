@@ -3,11 +3,11 @@ from . import ops
 from .optim import (AdamState, LrSchedule, NonFiniteGradientError, adam_step,
                     clip_grad_norm, schedule_lr)
 from .gradcheck import GradCheckReport, grad_check
-from .rng import child_seed, generator
+from .rng import generator
 
 __all__ = [
     "Tensor", "ShapeError", "as_tensor", "param", "no_grad", "use_dtype",
     "default_dtype", "ops", "AdamState", "LrSchedule", "NonFiniteGradientError",
     "adam_step", "clip_grad_norm", "schedule_lr", "GradCheckReport",
-    "grad_check", "child_seed", "generator",
+    "grad_check", "generator",
 ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from .bridge import Bridge, StackConfig
@@ -14,24 +16,6 @@ from .numcore import Tensor, no_grad
 from .tokenizer import CharTokenizer
 
 
-def encoder_config(cfg: RunConfig, ctc_vocab: int) -> EncoderConfig:
-    e = cfg.encoder
-    return EncoderConfig(
-        num_layers=e.num_layers, d_model=e.d_model, ffn_dim=e.ffn_dim,
-        conv_kernel=e.conv_kernel, num_heads=e.num_heads,
-        subsample_stride=e.subsample_stride, ctc_vocab=ctc_vocab,
-        subsample_channels=e.subsample_channels, max_frames=e.max_frames,
-        dropout=e.dropout)
-
-
-def lm_config(cfg: RunConfig, vocab_size: int) -> LmConfig:
-    m = cfg.lm
-    return LmConfig(
-        vocab_size=vocab_size, d_llm=m.d_llm, num_layers=m.num_layers,
-        num_heads=m.num_heads, ffn_dim=m.ffn_dim,
-        max_positions=m.max_positions, dropout=m.dropout)
-
-
 class AsrSystem:
     """Conformer encoder -> frame stacking bridge -> decoder-only LM."""
 
@@ -40,13 +24,13 @@ class AsrSystem:
         self.cfg = cfg
         self.tokenizer = tokenizer
         self.normalizer = normalizer
-        self.encoder = ConformerEncoder(
-            encoder_config(cfg, tokenizer.ctc_vocab_size), seed=seed)
+        self.encoder = ConformerEncoder(EncoderConfig(
+            **asdict(cfg.encoder), ctc_vocab=tokenizer.ctc_vocab_size), seed=seed)
         self.bridge = Bridge(StackConfig(
             n=cfg.bridge.stack_n, d_encoder=cfg.encoder.d_model,
             d_llm=cfg.lm.d_llm), seed=seed)
-        self.lm = DecoderLM(lm_config(cfg, tokenizer.vocab_size), seed=seed,
-                            lora_rank=cfg.lora.rank, lora_alpha=cfg.lora.alpha)
+        self.lm = DecoderLM(LmConfig(**asdict(cfg.lm), vocab_size=tokenizer.vocab_size),
+                            seed=seed, lora_rank=cfg.lora.rank, lora_alpha=cfg.lora.alpha)
 
     # -- parameter groups -------------------------------------------------
 
@@ -142,27 +126,20 @@ class AsrSystem:
         Only encoder weights and feature statistics carry over; bridge, LM
         and adapters are freshly initialized from `seed`.
         """
-        tokenizer = CharTokenizer.from_dict(ckpt.metadata["tokenizer"])
+        stats = ckpt.namespace("frontend.mel_")
         normalizer = None
-        if "frontend.mel_mean" in ckpt.tensors:
-            normalizer = FeatureNormalizer(
-                mean=ckpt.tensors["frontend.mel_mean"].astype(np.float32),
-                std=ckpt.tensors["frontend.mel_std"].astype(np.float32))
-        system = cls(cfg, tokenizer, normalizer, seed=seed)
+        if stats:
+            normalizer = FeatureNormalizer(mean=stats["mean"].astype(np.float32),
+                                           std=stats["std"].astype(np.float32))
+        system = cls(cfg, CharTokenizer.from_dict(ckpt.metadata["tokenizer"]),
+                     normalizer, seed=seed)
         system.load_tensors({k: v for k, v in ckpt.tensors.items()
                              if k.startswith("encoder.")}, require_all=False)
         return system
 
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint, seed: int = 0) -> "AsrSystem":
-        cfg = from_dict(ckpt.config)
-        tokenizer = CharTokenizer.from_dict(ckpt.metadata["tokenizer"])
-        normalizer = None
-        if "frontend.mel_mean" in ckpt.tensors:
-            normalizer = FeatureNormalizer(
-                mean=ckpt.tensors["frontend.mel_mean"].astype(np.float32),
-                std=ckpt.tensors["frontend.mel_std"].astype(np.float32))
-        system = cls(cfg, tokenizer, normalizer, seed=seed)
+        system = cls.from_encoder_checkpoint(from_dict(ckpt.config), ckpt, seed=seed)
         system.load_tensors(ckpt.tensors)
         return system
 

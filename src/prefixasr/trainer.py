@@ -1,9 +1,15 @@
 """Two-stage training: CTC encoder pretraining, then joint next-token
 training with text masking and language-balanced sampling.
 
-Runs are deterministic for a given (manifest, config, seed): every random
-draw comes from a stream keyed by (seed, stage, purpose, step), so resuming
-from a saved state reproduces the exact trajectory of an uninterrupted run.
+Both stages run through one stage runner; a StageSpec holds what differs
+between them. Runs are deterministic for a given (manifest, config, seed):
+every random draw comes from a stream keyed by (seed, stage, purpose, step),
+so resuming from a saved state reproduces the exact trajectory of an
+uninterrupted run.
+
+A per-utterance loss of +inf means the utterance has no CTC alignment; it is
+dropped from the batch mean, and a batch with nothing left is skipped as
+infeasible. Any other non-finite loss ends the run as diverged.
 """
 
 from __future__ import annotations
@@ -11,19 +17,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import ctc, frontend
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, StageSection
-from .encoder import ConformerEncoder
-from .numcore import (AdamState, LrSchedule, NonFiniteGradientError, Tensor,
-                      adam_step, clip_grad_norm, no_grad, schedule_lr)
+from .encoder import ConformerEncoder, EncoderConfig
+from .numcore import (AdamState, NonFiniteGradientError, Tensor, adam_step,
+                      clip_grad_norm, no_grad, schedule_lr)
 from .numcore.rng import generator
-from .system import AsrSystem, encoder_config
+from .system import AsrSystem
 from .tokenizer import NUM_SPECIALS, UNK, CharTokenizer
 
 
@@ -157,6 +164,34 @@ class TrainResult:
     diverged: bool = False
 
 
+@dataclass
+class StageSpec:
+    """What differs between the two training stages."""
+    name: str
+    section: StageSection
+    tokenizer: CharTokenizer
+    normalizer: frontend.FeatureNormalizer | None
+    params: dict[str, Tensor]
+    # (features, transcript, train, rng) -> scalar loss tensor
+    utt_loss: Callable[[frontend.FeatureMatrix, str, bool, np.random.Generator | None],
+                       Tensor]
+    # the model tensors that checkpoints hold, and their inverse on resume
+    model_tensors: Callable[[], dict[str, np.ndarray]]
+    load_tensors: Callable[[dict[str, np.ndarray]], None]
+
+
+@dataclass
+class _TrainState:
+    """Loop bookkeeping, saved as the "train_state" checkpoint metadata."""
+    stage: str
+    step: int = 0
+    adam_step: int = 0
+    best_valid: float = math.inf
+    evals_since_best: int = 0
+    log: list[dict] = field(default_factory=list)
+    infeasible: int = 0
+
+
 def _write_log(out_dir, rows):
     if out_dir is None:
         return
@@ -167,192 +202,156 @@ def _write_log(out_dir, rows):
         writer.writerows(rows)
 
 
-class _Loop:
-    """Shared optimization loop with validation tracking and resume."""
-
-    def __init__(self, stage: str, cfg: RunConfig, stage_cfg: StageSection,
-                 params: dict[str, Tensor], seed: int):
-        self.stage = stage
-        self.cfg = cfg
-        self.stage_cfg = stage_cfg
-        self.names = sorted(params)
-        self.params = [params[n] for n in self.names]
-        self.seed = seed
-        self.schedule = LrSchedule(
-            peak_lr=stage_cfg.peak_lr, final_lr=stage_cfg.final_lr,
-            warmup_steps=stage_cfg.warmup_steps, total_steps=stage_cfg.total_steps)
-        self.adam = AdamState()
-        self.step = 0
-        self.best_valid = math.inf
-        self.best_tensors: dict[str, np.ndarray] | None = None
-        self.evals_since_best = 0
-        self.rows: list[dict] = []
-        self.infeasible = 0
-
-    def state_tensors(self, model_tensors: dict[str, np.ndarray]) -> dict:
-        self.adam.ensure(self.params)
-        out = dict(model_tensors)
-        for n, m, v in zip(self.names, self.adam.m, self.adam.v):
-            out["adam.m." + n] = m
-            out["adam.v." + n] = v
-        if self.best_tensors is not None:
-            out.update({"best." + k: v for k, v in self.best_tensors.items()})
-        return out
-
-    def restore(self, ckpt: ModelCheckpoint):
-        meta = ckpt.metadata["train_state"]
-        if meta["stage"] != self.stage:
-            raise ValueError(f"state is for stage {meta['stage']!r}, not {self.stage!r}")
-        self.step = meta["step"]
-        self.adam.step = meta["adam_step"]
-        self.best_valid = meta["best_valid"]
-        self.evals_since_best = meta["evals_since_best"]
-        self.rows = meta["log"]
-        self.infeasible = meta["infeasible"]
-        self.adam.ensure(self.params)
-        for i, n in enumerate(self.names):
-            self.adam.m[i][...] = ckpt.tensors["adam.m." + n]
-            self.adam.v[i][...] = ckpt.tensors["adam.v." + n]
-        best = ckpt.namespace("best.")
-        if best:
-            self.best_tensors = best
-
-    def state_meta(self) -> dict:
-        return {"stage": self.stage, "step": self.step,
-                "adam_step": self.adam.step, "best_valid": self.best_valid,
-                "evals_since_best": self.evals_since_best, "log": self.rows,
-                "infeasible": self.infeasible}
-
-    def run(self, batch_loss_fn, valid_fn, model_tensors_fn,
-            save_state_fn=None, stop_fn=None) -> bool:
-        """Returns True if the run diverged."""
-        tcfg = self.cfg.training
-        max_steps = self.stage_cfg.max_steps
-        while self.step < max_steps:
-            self.step += 1
-            lr = schedule_lr(self.schedule, self.step)
-            rng = generator(self.seed, self.stage, "step", self.step)
-            for p in self.params:
-                p.grad = None
-            loss = batch_loss_fn(rng)
-            if loss is None:
-                self.infeasible += 1
-                continue
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                return True
-            loss.backward()
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for p in self.params]
-            clip_grad_norm(grads, tcfg.grad_clip)
-            try:
-                adam_step(self.params, grads, self.adam, lr)
-            except NonFiniteGradientError:
-                self.infeasible += 1
-                continue
-            if self.step % tcfg.eval_interval == 0 or self.step == max_steps:
-                valid = valid_fn()
-                self.rows.append({"step": self.step, "lr": lr,
-                                  "train_loss": loss_val, "valid_loss": valid})
-                if valid < self.best_valid:
-                    self.best_valid = valid
-                    self.best_tensors = {k: v.copy()
-                                         for k, v in model_tensors_fn().items()}
-                    self.evals_since_best = 0
-                else:
-                    self.evals_since_best += 1
-                if save_state_fn is not None:
-                    save_state_fn(self)
-                if stop_fn is not None and stop_fn():
-                    break
-                if self.evals_since_best >= tcfg.early_stop_evals:
-                    break
-        if self.best_tensors is None:
-            self.best_valid = float("nan")
-            self.best_tensors = {k: v.copy() for k, v in model_tensors_fn().items()}
-        return False
+def _mean_feasible(losses):
+    """Left-to-right sum of the losses that are not +inf, times 1/n; None
+    when every loss is +inf."""
+    kept = [l for l in losses if l.item() != math.inf]
+    if not kept:
+        return None
+    total = kept[0]
+    for l in kept[1:]:
+        total = total + l
+    return total * (1.0 / len(kept))
 
 
-def _ctc_targets(tokenizer: CharTokenizer, text: str) -> list[int]:
-    return tokenizer.encode_ctc(text)
+def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
+               out_dir, state_path, resume: bool, stop_fn) -> TrainResult:
+    """Optimize make_spec(train_utts) with validation tracking and resume."""
+    tcfg = cfg.training
+    utts = prepare_corpus(entries)
+    train_idx, valid_idx = split_indices(len(utts), tcfg.valid_fraction, tcfg.seed)
+    train_utts = [utts[i] for i in train_idx]
+    valid_utts = [utts[i] for i in valid_idx] or train_utts
+    hours = hours_by_language(train_utts)
+    spec: StageSpec = make_spec(train_utts)
+    normalizer = spec.normalizer if cfg.frontend.normalize else None
+
+    def utt_loss(u: PreparedUtterance, train: bool, rng=None):
+        return spec.utt_loss(u.features(normalizer), u.entry.text, train, rng)
+
+    names = sorted(spec.params)
+    params = [spec.params[n] for n in names]
+    schedule = spec.section.schedule()
+    adam = AdamState()
+    adam.ensure(params)
+    state = _TrainState(spec.name)
+    best: dict[str, np.ndarray] | None = None
+    if resume and state_path is not None and Path(state_path).exists():
+        saved = load_checkpoint(state_path)
+        state = _TrainState(**saved.metadata["train_state"])
+        if state.stage != spec.name:
+            raise ValueError(f"state is for stage {state.stage!r}, not {spec.name!r}")
+        adam.step = state.adam_step
+        for i, n in enumerate(names):
+            adam.m[i][...] = saved.tensors["adam.m." + n]
+            adam.v[i][...] = saved.tensors["adam.v." + n]
+        best = saved.namespace("best.") or None
+        spec.load_tensors({k: v for k, v in saved.tensors.items()
+                           if not k.startswith(("adam.", "best."))})
+
+    def save_state():
+        state.adam_step = adam.step
+        tensors = spec.model_tensors()
+        for n, m, v in zip(names, adam.m, adam.v):
+            tensors["adam.m." + n] = m
+            tensors["adam.v." + n] = v
+        tensors.update({"best." + k: v for k, v in (best or {}).items()})
+        save_checkpoint(state_path, ModelCheckpoint(
+            config=cfg.to_dict(), tensors=tensors,
+            metadata={"tokenizer": spec.tokenizer.to_dict(), "train_state": asdict(state)}))
+
+    diverged = False
+    max_steps = spec.section.max_steps
+    while state.step < max_steps:
+        state.step += 1
+        lr = schedule_lr(schedule, state.step)
+        rng = generator(tcfg.seed, spec.name, "step", state.step)
+        for p in params:
+            p.grad = None
+        batch = sample_batch(train_utts, hours, tcfg.sampling_alpha,
+                             tcfg.batch_seconds, rng)
+        loss = _mean_feasible(utt_loss(u, True, rng) for u in batch)
+        if loss is None:
+            state.infeasible += 1
+            continue
+        loss_val = loss.item()
+        if not math.isfinite(loss_val):
+            diverged = True
+            break
+        loss.backward()
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+                 for p in params]
+        clip_grad_norm(grads, tcfg.grad_clip)
+        try:
+            adam_step(params, grads, adam, lr)
+        except NonFiniteGradientError:
+            state.infeasible += 1
+            continue
+        if state.step % tcfg.eval_interval == 0 or state.step == max_steps:
+            with no_grad():
+                vals = [utt_loss(u, False).item() for u in valid_utts]
+            vals = [v for v in vals if v != math.inf]
+            valid = float(np.mean(vals)) if vals else math.inf
+            state.log.append({"step": state.step, "lr": lr,
+                              "train_loss": loss_val, "valid_loss": valid})
+            if valid < state.best_valid:
+                state.best_valid = valid
+                best = {k: v.copy() for k, v in spec.model_tensors().items()}
+                state.evals_since_best = 0
+            else:
+                state.evals_since_best += 1
+            if state_path is not None:
+                save_state()
+            if stop_fn is not None and stop_fn():
+                break
+            if state.evals_since_best >= tcfg.early_stop_evals:
+                break
+    if best is None:
+        state.best_valid = float("nan")
+        best = {k: v.copy() for k, v in spec.model_tensors().items()}
+
+    _write_log(out_dir, state.log)
+    ckpt = ModelCheckpoint(config=cfg.to_dict(), tensors=best,
+                           metadata={"tokenizer": spec.tokenizer.to_dict(),
+                                     "stage": spec.name})
+    return TrainResult(checkpoint=ckpt, log=state.log, best_valid=state.best_valid,
+                       steps=state.step, infeasible_skipped=state.infeasible,
+                       stopped_early=state.evals_since_best >= tcfg.early_stop_evals,
+                       diverged=diverged)
 
 
 def pretrain_encoder(entries: list[ManifestEntry], cfg: RunConfig,
                      out_dir=None, state_path=None, resume: bool = False,
                      stop_fn=None) -> TrainResult:
     """Stage 1: train encoder + CTC head; returns the best-validation model."""
-    tcfg = cfg.training
-    utts = prepare_corpus(entries)
-    tokenizer = CharTokenizer.from_texts([e.text for e in entries])
-    train_idx, valid_idx = split_indices(len(utts), tcfg.valid_fraction, tcfg.seed)
-    train_utts = [utts[i] for i in train_idx]
-    valid_utts = [utts[i] for i in valid_idx] or train_utts
-    normalizer = frontend.FeatureNormalizer.fit([u.raw_frames for u in train_utts])
-    hours = hours_by_language(train_utts)
+    def make_spec(train_utts):
+        tokenizer = CharTokenizer.from_texts([e.text for e in entries])
+        normalizer = frontend.FeatureNormalizer.fit([u.raw_frames for u in train_utts])
+        encoder = ConformerEncoder(EncoderConfig(
+            **asdict(cfg.encoder), ctc_vocab=tokenizer.ctc_vocab_size),
+            seed=cfg.training.seed)
 
-    encoder = ConformerEncoder(encoder_config(cfg, tokenizer.ctc_vocab_size),
-                               seed=tcfg.seed)
-    params = {"encoder." + k: v for k, v in encoder.params.items()}
-    loop = _Loop("ctc_pretrain", cfg, tcfg.pretrain, params, tcfg.seed)
+        def utt_loss(feats, text, train, rng):
+            _, log_probs = encoder.encode(feats, train=train, rng=rng)
+            return ctc.ctc_loss(log_probs, tokenizer.encode_ctc(text))
 
-    def model_tensors():
-        out = {"encoder." + k: v.data for k, v in encoder.params.items()}
-        out["frontend.mel_mean"] = normalizer.mean
-        out["frontend.mel_std"] = normalizer.std
-        return out
+        def model_tensors():
+            out = {"encoder." + k: v.data for k, v in encoder.params.items()}
+            out["frontend.mel_mean"] = normalizer.mean
+            out["frontend.mel_std"] = normalizer.std
+            return out
 
-    def utt_loss(u: PreparedUtterance, train: bool, rng=None):
-        feats = u.features(normalizer if cfg.frontend.normalize else None)
-        _, log_probs = encoder.encode(feats, train=train, rng=rng)
-        return ctc.ctc_loss(log_probs, _ctc_targets(tokenizer, u.entry.text))
+        def load_tensors(tensors):
+            for k, v in tensors.items():
+                if k.startswith("encoder."):
+                    p = encoder.params[k[len("encoder."):]]
+                    p.data = v.astype(p.data.dtype)
 
-    def batch_loss(rng):
-        batch = sample_batch(train_utts, hours, tcfg.sampling_alpha,
-                             tcfg.batch_seconds, rng)
-        losses = [l for l in (utt_loss(u, True, rng) for u in batch)
-                  if math.isfinite(l.item())]
-        if not losses:
-            return None
-        total = losses[0]
-        for l in losses[1:]:
-            total = total + l
-        return total * (1.0 / len(losses))
+        return StageSpec("ctc_pretrain", cfg.training.pretrain, tokenizer, normalizer,
+                         {"encoder." + k: v for k, v in encoder.params.items()},
+                         utt_loss, model_tensors, load_tensors)
 
-    def valid_loss():
-        with no_grad():
-            vals = [utt_loss(u, False).item() for u in valid_utts]
-        vals = [v for v in vals if math.isfinite(v)]
-        return float(np.mean(vals)) if vals else math.inf
-
-    def make_checkpoint(tensors) -> ModelCheckpoint:
-        return ModelCheckpoint(
-            config=cfg.to_dict(), tensors=dict(tensors),
-            metadata={"tokenizer": tokenizer.to_dict(), "stage": "ctc_pretrain"})
-
-    if resume and state_path is not None and Path(state_path).exists():
-        state = load_checkpoint(state_path)
-        loop.restore(state)
-        for k, v in state.tensors.items():
-            if k.startswith("encoder."):
-                encoder.params[k[len("encoder."):]].data = v.astype(
-                    encoder.params[k[len("encoder."):]].data.dtype)
-
-    def save_state(lp: _Loop):
-        if state_path is None:
-            return
-        state = ModelCheckpoint(config=cfg.to_dict(),
-                                tensors=lp.state_tensors(model_tensors()),
-                                metadata={"tokenizer": tokenizer.to_dict(),
-                                          "train_state": lp.state_meta()})
-        save_checkpoint(state_path, state)
-
-    diverged = loop.run(batch_loss, valid_loss, model_tensors, save_state, stop_fn)
-    _write_log(out_dir, loop.rows)
-    ckpt = make_checkpoint(loop.best_tensors)
-    return TrainResult(checkpoint=ckpt, log=loop.rows, best_valid=loop.best_valid,
-                       steps=loop.step, infeasible_skipped=loop.infeasible,
-                       stopped_early=loop.evals_since_best >= tcfg.early_stop_evals,
-                       diverged=diverged)
+    return _run_stage(entries, cfg, make_spec, out_dir, state_path, resume, stop_fn)
 
 
 def train_joint(entries: list[ManifestEntry], cfg: RunConfig,
@@ -360,66 +359,19 @@ def train_joint(entries: list[ManifestEntry], cfg: RunConfig,
                 resume: bool = False, stop_fn=None) -> TrainResult:
     """Stage 2: joint training of encoder + bridge + LoRA with text masking."""
     tcfg = cfg.training
-    utts = prepare_corpus(entries)
-    tokenizer = CharTokenizer.from_dict(encoder_ckpt.metadata["tokenizer"])
-    train_idx, valid_idx = split_indices(len(utts), tcfg.valid_fraction, tcfg.seed)
-    train_utts = [utts[i] for i in train_idx]
-    valid_utts = [utts[i] for i in valid_idx] or train_utts
-    hours = hours_by_language(train_utts)
 
-    system = AsrSystem.from_encoder_checkpoint(cfg, encoder_ckpt, seed=tcfg.seed)
-    normalizer = system.normalizer if cfg.frontend.normalize else None
+    def make_spec(train_utts):
+        system = AsrSystem.from_encoder_checkpoint(cfg, encoder_ckpt, seed=tcfg.seed)
 
-    params = system.joint_trainable()
-    loop = _Loop("joint", cfg, tcfg.joint, params, tcfg.seed)
+        def utt_loss(feats, text, train, rng):
+            inputs = None
+            if train:
+                inputs = mask_tokens(system.tokenizer.encode(text), tcfg.mask_fraction, rng)
+            return system.joint_loss(feats, text, input_text_ids=inputs,
+                                     train=train, rng=rng)
 
-    def model_tensors():
-        return system.all_tensors()
+        return StageSpec("joint", tcfg.joint, system.tokenizer, system.normalizer,
+                         system.joint_trainable(), utt_loss, system.all_tensors,
+                         lambda tensors: system.load_tensors(tensors, require_all=False))
 
-    def utt_loss(u: PreparedUtterance, train: bool, rng=None):
-        feats = u.features(normalizer)
-        target_ids = tokenizer.encode(u.entry.text)
-        inputs = target_ids
-        if train and tcfg.mask_fraction > 0 and rng is not None:
-            inputs = mask_tokens(target_ids, tcfg.mask_fraction, rng)
-            assert tokenizer.encode(u.entry.text) == target_ids  # targets untouched
-        return system.joint_loss(feats, u.entry.text, input_text_ids=inputs,
-                                 train=train, rng=rng)
-
-    def batch_loss(rng):
-        batch = sample_batch(train_utts, hours, tcfg.sampling_alpha,
-                             tcfg.batch_seconds, rng)
-        total = None
-        for u in batch:
-            l = utt_loss(u, True, rng)
-            total = l if total is None else total + l
-        return total * (1.0 / len(batch))
-
-    def valid_loss():
-        with no_grad():
-            return float(np.mean([utt_loss(u, False).item() for u in valid_utts]))
-
-    if resume and state_path is not None and Path(state_path).exists():
-        state = load_checkpoint(state_path)
-        loop.restore(state)
-        system.load_tensors({k: v for k, v in state.tensors.items()
-                             if not (k.startswith(("adam.", "best.")))},
-                            require_all=False)
-
-    def save_state(lp: _Loop):
-        if state_path is None:
-            return
-        state = ModelCheckpoint(config=cfg.to_dict(),
-                                tensors=lp.state_tensors(model_tensors()),
-                                metadata={"tokenizer": tokenizer.to_dict(),
-                                          "train_state": lp.state_meta()})
-        save_checkpoint(state_path, state)
-
-    diverged = loop.run(batch_loss, valid_loss, model_tensors, save_state, stop_fn)
-    _write_log(out_dir, loop.rows)
-    system.load_tensors(loop.best_tensors, require_all=False)
-    ckpt = system.to_checkpoint({"stage": "joint"})
-    return TrainResult(checkpoint=ckpt, log=loop.rows, best_valid=loop.best_valid,
-                       steps=loop.step, infeasible_skipped=loop.infeasible,
-                       stopped_early=loop.evals_since_best >= tcfg.early_stop_evals,
-                       diverged=diverged)
+    return _run_stage(entries, cfg, make_spec, out_dir, state_path, resume, stop_fn)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,24 @@ def test_scalar_tensor_roundtrip(tmp_path):
     save_checkpoint(tmp_path / "s.ckpt", ck)
     out = load_checkpoint(tmp_path / "s.ckpt").tensors["s"]
     assert out.shape == () and out == np.float32(3.5)
+
+
+def test_failed_save_keeps_previous_file(tmp_path, ckpt, monkeypatch):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, ckpt)
+    newer = ModelCheckpoint(config=ckpt.config, metadata=ckpt.metadata,
+                            tensors={k: v + 1 for k, v in ckpt.tensors.items()})
+    write_bytes = Path.write_bytes
+
+    def dies_halfway(self, data):
+        write_bytes(self, data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", dies_halfway)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, newer)
+    monkeypatch.undo()
+    loaded = load_checkpoint(path)
+    for name, arr in ckpt.tensors.items():
+        np.testing.assert_array_equal(loaded.tensors[name], arr)
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]

@@ -157,6 +157,19 @@ def test_bad_config_override_exit_2(toy_corpus, tmp_path):
                str(tmp_path), "--set", "encoder.bogus=1") == cli.EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("override", [
+    "encoder.num_heads=5",
+    "training.pretrain.warmup_steps=20000",
+    "training.eval_interval=0",
+    "encoder.d_model=abc",
+    "lora.rank=-1",
+])
+def test_bad_config_value_exit_2(override, toy_corpus, tmp_path):
+    manifest, _ = toy_corpus
+    assert run("pretrain", "--manifest", str(manifest), "--out-dir",
+               str(tmp_path), "--set", override) == cli.EXIT_BAD_INPUT
+
+
 def test_unknown_subcommand_exit_2():
     assert run("frobnicate") == cli.EXIT_BAD_INPUT
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from prefixasr import numcore as nc
-from prefixasr.encoder import AudioEmbeddingSeq, ConformerEncoder, EncoderConfig, output_length
+from prefixasr.encoder import ConformerEncoder, EncoderConfig
 from prefixasr.frontend import FeatureMatrix
 from prefixasr.numcore import Tensor, ops
 
@@ -48,11 +47,6 @@ class TestSubsample:
         # positions differ per frame; compare before the position add
         out_nopos = out - enc.params["sub.pos"].data[:out.shape[0]]
         assert np.allclose(out_nopos, out_nopos[0], atol=1e-5)
-
-    @given(st.integers(1, 300))
-    @settings(max_examples=50, deadline=None)
-    def test_output_length_formula(self, T):
-        assert output_length(T) == -(-T // 8)
 
 
 class TestConformerBlock:

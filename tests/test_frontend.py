@@ -1,4 +1,3 @@
-import struct
 import wave
 
 import numpy as np
@@ -118,25 +117,3 @@ class TestLogMel:
         # degenerate dims stay unscaled near zero; live dims normalize to 1
         assert np.all((np.abs(s - 1.0) < 1e-2) | (s < 1e-2))
 
-
-class TestFeatureDump:
-    def test_roundtrip(self, tmp_path):
-        wav = frontend.Waveform(tone(250, 0.3).astype(np.float32))
-        feats = frontend.log_mel(wav)
-        p = tmp_path / "f.feat"
-        frontend.write_features(p, feats)
-        back = frontend.read_features(p)
-        assert np.array_equal(back.frames, feats.frames)
-
-    def test_header_layout(self, tmp_path):
-        feats = frontend.FeatureMatrix(frames=np.zeros((3, 80), dtype=np.float32))
-        p = tmp_path / "f.feat"
-        frontend.write_features(p, feats)
-        magic, version, t, d = struct.unpack_from("<4sIII", p.read_bytes(), 0)
-        assert (magic, version, t, d) == (b"FEAT", 1, 3, 80)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "f.feat"
-        p.write_bytes(b"XXXX" + b"\x00" * 12)
-        with pytest.raises(frontend.AudioError):
-            frontend.read_features(p)

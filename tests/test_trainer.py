@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import fast_config
-from prefixasr import trainer
+from prefixasr import ctc, trainer
+from prefixasr.numcore import Tensor, no_grad
 from prefixasr.numcore.rng import generator
 from prefixasr.system import AsrSystem
 from prefixasr.tokenizer import NUM_SPECIALS, UNK
@@ -217,3 +218,92 @@ def test_joint_early_stops_on_plateau(pretrain_result):
     joint = trainer.train_joint(entries, cfg, result.checkpoint)
     assert joint.stopped_early
     assert joint.steps < 30
+
+
+# -- non-finite losses -------------------------------------------------------
+
+def patch_utt_loss(monkeypatch, stage, replace):
+    """Route each per-utterance loss of `stage` through
+    replace(loss, step, call), where call counts the losses within a step."""
+    where = {"step": 0, "call": 0}
+    sample_batch = trainer.sample_batch
+
+    def counting_sample_batch(*args, **kwargs):
+        where["step"] += 1
+        where["call"] = 0
+        return sample_batch(*args, **kwargs)
+
+    def wrap(fn):
+        def patched(*args, **kwargs):
+            out = replace(fn(*args, **kwargs), where["step"], where["call"])
+            where["call"] += 1
+            return out
+        return patched
+
+    monkeypatch.setattr(trainer, "sample_batch", counting_sample_batch)
+    if stage == "pretrain":
+        monkeypatch.setattr(ctc, "ctc_loss", wrap(ctc.ctc_loss))
+    else:
+        monkeypatch.setattr(AsrSystem, "joint_loss", wrap(AsrSystem.joint_loss))
+
+
+def run_stage(stage, pretrain_result, max_steps):
+    encoder, entries = pretrain_result
+    if stage == "pretrain":
+        return trainer.pretrain_encoder(
+            entries, fast_config([f"training.pretrain.max_steps={max_steps}"]))
+    return trainer.train_joint(
+        entries, fast_config([f"training.joint.max_steps={max_steps}"]),
+        encoder.checkpoint)
+
+
+def scalar(value):
+    return Tensor(np.asarray(value, dtype=np.float32))
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "joint"])
+@pytest.mark.parametrize("k", [3, 12])  # before and after the first eval
+def test_nan_loss_ends_run_as_diverged(stage, k, pretrain_result, monkeypatch):
+    patch_utt_loss(monkeypatch, stage,
+                   lambda loss, step, call: scalar(np.nan) if step >= k else loss)
+    result = run_stage(stage, pretrain_result, max_steps=20)
+    assert result.diverged
+    assert result.steps == k
+    assert [row["step"] for row in result.log] == ([10] if k > 10 else [])
+    assert result.checkpoint.tensors  # the last good weights are kept
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "joint"])
+def test_infeasible_utterance_dropped_from_mean(stage, pretrain_result, monkeypatch):
+    before = run_stage(stage, pretrain_result, max_steps=0).checkpoint.tensors
+    kept = []
+
+    def first_is_infeasible(loss, step, call):
+        if call == 0:
+            return scalar(np.inf)
+        if loss.requires_grad:  # a training loss, not a validation one
+            kept.append(loss)
+        return loss
+
+    patch_utt_loss(monkeypatch, stage, first_is_infeasible)
+    result = run_stage(stage, pretrain_result, max_steps=1)
+    assert not result.diverged
+    assert result.steps == 1 and result.infeasible_skipped == 0
+    with no_grad():
+        total = kept[0]
+        for loss in kept[1:]:
+            total = total + loss
+        assert result.log[0]["train_loss"] == (total * (1.0 / len(kept))).item()
+    trainable = "encoder.ctc.w" if stage == "pretrain" else "bridge.proj.w"
+    assert not np.array_equal(result.checkpoint.tensors[trainable], before[trainable])
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "joint"])
+def test_all_infeasible_batch_is_skipped(stage, pretrain_result, monkeypatch):
+    before = run_stage(stage, pretrain_result, max_steps=0).checkpoint.tensors
+    patch_utt_loss(monkeypatch, stage, lambda loss, step, call: scalar(np.inf))
+    result = run_stage(stage, pretrain_result, max_steps=3)
+    assert not result.diverged
+    assert result.steps == 3 and result.infeasible_skipped == 3
+    for name, arr in before.items():
+        np.testing.assert_array_equal(result.checkpoint.tensors[name], arr)
