@@ -46,14 +46,15 @@ def main():
     t0 = time.time()
     pre = trainer.pretrain_encoder(entries, cfg, out_dir=out)
     save_checkpoint(out / "encoder.ckpt", pre.checkpoint)
-    print(f"stage 1 (CTC): {pre.steps} steps, "
-          f"best loss {pre.best_valid:.4f}, {time.time() - t0:.0f}s")
-
     t1 = time.time()
+    print(f"stage 1 (CTC): {pre.steps} steps, best loss {pre.best_valid:.4f}, "
+          f"{t1 - t0:.0f}s, {1e3 * (t1 - t0) / max(pre.steps, 1):.1f} ms/step")
+
     joint = trainer.train_joint(entries, cfg, pre.checkpoint, out_dir=out)
     save_checkpoint(out / "model.ckpt", joint.checkpoint)
-    print(f"stage 2 (joint): {joint.steps} steps, "
-          f"best loss {joint.best_valid:.4f}, {time.time() - t1:.0f}s")
+    t2 = time.time()
+    print(f"stage 2 (joint): {joint.steps} steps, best loss {joint.best_valid:.4f}, "
+          f"{t2 - t1:.0f}s, {1e3 * (t2 - t1) / max(joint.steps, 1):.1f} ms/step")
 
     system = AsrSystem.from_checkpoint(joint.checkpoint)
     report = evalsuite.eval_corpus(system, entries)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -81,43 +82,64 @@ def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
         tmp.unlink(missing_ok=True)
 
 
+class _Reader:
+    """Cursor over checkpoint bytes; reading past the end is a CheckpointError."""
+
+    def __init__(self, data: bytes, path):
+        self.data, self.path, self.off = data, path, 0
+
+    def take(self, n: int) -> bytes:
+        if self.off + n > len(self.data):
+            raise CheckpointError(f"{self.path}: truncated at byte {self.off}")
+        self.off += n
+        return self.data[self.off - n:self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: bad utf-8 at byte {self.off}") from exc
+
+
 def load_checkpoint(path) -> ModelCheckpoint:
-    data = Path(path).read_bytes()
+    """Parse a checkpoint; any malformed or truncated file is a CheckpointError."""
+    r = _Reader(Path(path).read_bytes(), path)
     try:
-        magic, version = struct.unpack_from("<4sI", data, 0)
-    except struct.error as exc:
+        magic, version = r.unpack("<4sI")
+    except CheckpointError as exc:
         raise CheckpointError(f"{path}: truncated header") from exc
     if magic != MAGIC:
         raise CheckpointError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    off = 8
-    stored_digest = data[off:off + 32].hex()
-    off += 32
-    (meta_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    meta = json.loads(data[off:off + meta_len].decode())
-    off += meta_len
+    stored_digest = r.take(32).hex()
+    (meta_len,) = r.unpack("<I")
+    try:
+        meta = json.loads(r.text(meta_len))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: bad metadata JSON: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise CheckpointError(f"{path}: metadata holds no config")
     config = meta.pop("config")
     if config_digest(config) != stored_digest:
         raise CheckpointError(f"{path}: config digest mismatch")
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+    (count,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off:off + nlen].decode()
-        off += nlen
-        code, ndim = struct.unpack_from("<BB", data, off)
-        off += 2
-        shape = struct.unpack_from(f"<{ndim}I", data, off)
-        off += 4 * ndim
+        (nlen,) = r.unpack("<H")
+        name = r.text(nlen)
+        code, ndim = r.unpack("<BB")
+        if code not in _CODE_DTYPES:
+            raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype code {code}")
         dtype = _CODE_DTYPES[code]
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(data, dtype=dtype, count=n, offset=off).reshape(shape)
-        off += n * dtype.itemsize
-        tensors[name] = arr.copy()
+        shape = r.unpack(f"<{ndim}I")
+        payload = r.take(math.prod(shape) * dtype.itemsize)
+        tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    if r.off != len(r.data):
+        raise CheckpointError(f"{path}: {len(r.data) - r.off} bytes after the last tensor")
     return ModelCheckpoint(config=config, tensors=tensors, metadata=meta)
 
 

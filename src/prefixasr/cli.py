@@ -130,7 +130,7 @@ def cmd_eval(args) -> int:
     (out / "report.txt").write_text(report.to_table())
     print(report.to_table(), end="")
     if report.skipped:
-        log.warning("skipped %d unreadable utterances", len(report.skipped))
+        log.warning("skipped %d utterances (reasons in report.json)", len(report.skipped))
     return EXIT_OK
 
 

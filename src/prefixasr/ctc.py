@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .numcore import Tensor, as_tensor
+from .numcore import Tensor, as_tensor, ops
 from .numcore.tensor import make
 
 BLANK = 0
@@ -30,75 +30,102 @@ def min_frames(labels) -> int:
     return len(labels) + repeats
 
 
-def _alpha(lp: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    U = lp.shape[0]
-    S = len(ext)
-    alpha = np.full((U, S), NEG_INF)
-    alpha[0, 0] = lp[0, ext[0]]
-    if S > 1:
-        alpha[0, 1] = lp[0, ext[1]]
-    skip = np.zeros(S, dtype=bool)
-    skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+def _alpha(em: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Forward log-probabilities (B, U, S) from emissions em[b, t, s] =
+    lp[b, t, ext[b, s]]. Mass moves only rightwards in s, so the padding
+    past an item's last state never reaches its real states."""
+    B, U, S = em.shape
+    alpha = np.full((B, U, S), NEG_INF)
+    alpha[:, 0, :2] = em[:, 0, :2]
     for t in range(1, U):
-        prev = alpha[t - 1]
-        stay = prev
-        diag = np.full(S, NEG_INF)
-        diag[1:] = prev[:-1]
-        acc = np.logaddexp(stay, diag)
-        jump = np.full(S, NEG_INF)
-        jump[2:] = prev[:-2]
-        acc = np.where(skip, np.logaddexp(acc, jump), acc)
-        alpha[t] = acc + lp[t, ext]
+        prev = alpha[:, t - 1]
+        acc = prev.copy()
+        acc[:, 1:] = np.logaddexp(prev[:, 1:], prev[:, :-1])
+        acc[:, 2:] = np.where(skip[:, 2:], np.logaddexp(acc[:, 2:], prev[:, :-2]),
+                              acc[:, 2:])
+        alpha[:, t] = acc + em[:, t]
     return alpha
 
 
-def _beta(lp: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    U = lp.shape[0]
-    S = len(ext)
-    beta = np.full((U, S), NEG_INF)
-    beta[U - 1, S - 1] = lp[U - 1, ext[S - 1]]
-    if S > 1:
-        beta[U - 1, S - 2] = lp[U - 1, ext[S - 2]]
-    skip = np.zeros(S, dtype=bool)
-    skip[:-2] = (ext[:-2] != BLANK) & (ext[:-2] != ext[2:])
-    for t in range(U - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        diag = np.full(S, NEG_INF)
-        diag[:-1] = nxt[1:]
-        acc = np.logaddexp(stay, diag)
-        jump = np.full(S, NEG_INF)
-        jump[:-2] = nxt[2:]
-        acc = np.where(skip, np.logaddexp(acc, jump), acc)
-        beta[t] = acc + lp[t, ext]
+def _beta(em: np.ndarray, skip: np.ndarray, frames: np.ndarray,
+          states: np.ndarray) -> np.ndarray:
+    """Backward log-probabilities (B, U, S); item b starts at its last frame
+    frames[b]-1 in its last two states and is -inf after that frame."""
+    B, U, S = em.shape
+    beta = np.full((B, U, S), NEG_INF)
+    nxt = beta[:, U - 1]
+    for t in range(U - 1, -1, -1):
+        acc = nxt.copy()
+        acc[:, :-1] = np.logaddexp(nxt[:, :-1], nxt[:, 1:])
+        acc[:, :-2] = np.where(skip[:, :-2], np.logaddexp(acc[:, :-2], nxt[:, 2:]),
+                               acc[:, :-2])
+        cur = acc + em[:, t]
+        for b in np.flatnonzero(frames - 1 == t):
+            last = slice(max(states[b] - 2, 0), states[b])
+            cur[b, last] = em[b, t, last]
+        beta[:, t] = cur
+        nxt = cur
     return beta
 
 
-def ctc_loss(log_probs: Tensor | np.ndarray, labels) -> Tensor:
-    """Negative log-likelihood as a tape node; +inf (no gradient) if infeasible."""
+def ctc_losses(log_probs: Tensor, frames, labels) -> list[Tensor]:
+    """Per-item negative log-likelihoods of a padded batch.
+
+    log_probs (B, U, V) holds frames[b] real frames for item b; labels[b]
+    is its label sequence. Returns B scalars, each its own tape node over
+    one shared forward-backward; an infeasible item is +inf with no
+    gradient. The recursions run over (B, S) at once (Graves et al. 2006,
+    batched as warp-ctc does it).
+    """
     x = as_tensor(log_probs)
-    labels = list(labels)
-    lp = np.asarray(x.data, dtype=np.float64)
-    U, _ = lp.shape
-    if min_frames(labels) > U:
-        return Tensor(np.asarray(np.inf, dtype=x.data.dtype))
-    ext = extended_labels(labels)
-    alpha = _alpha(lp, ext)
-    if len(ext) > 1:
-        log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
-    else:
-        log_p = alpha[-1, -1]
+    dtype = x.data.dtype
+    labels = [list(l) for l in labels]
+    frames = np.asarray(frames, dtype=np.int64)
+    out = [Tensor(np.asarray(np.inf, dtype=dtype)) for _ in labels]
+    rows = np.flatnonzero([min_frames(l) <= u for l, u in zip(labels, frames)])
+    if len(rows) == 0:
+        return out
+    frames = frames[rows]
+    states = np.array([2 * len(labels[r]) + 1 for r in rows])
+    ext = np.zeros((len(rows), states.max()), dtype=np.int64)
+    for i, r in enumerate(rows):
+        ext[i, :states[i]] = extended_labels(labels[r])
+    U = frames.max()
+    lp = np.asarray(x.data[rows, :U], dtype=np.float64)
+    em = np.take_along_axis(lp, ext[:, None, :], axis=2)
+    skip = np.zeros(ext.shape, dtype=bool)
+    skip[:, 2:] = (ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2])
+    alpha = _alpha(em, skip)
+    items = np.arange(len(rows))
+    end = alpha[items, frames - 1]
+    last = end[items, states - 1]
+    second = np.where(states > 1, end[items, np.maximum(states - 2, 0)], NEG_INF)
+    log_p = np.logaddexp(last, second)
 
     def backward(g):
-        beta = _beta(lp, ext)
+        back_skip = np.zeros(ext.shape, dtype=bool)
+        back_skip[:, :-2] = (ext[:, :-2] != BLANK) & (ext[:, :-2] != ext[:, 2:])
+        beta = _beta(em, back_skip, frames, states)
         # occupancy of symbol ext[s] at frame t; emission counted once
-        occ = alpha + beta - lp[:, ext] - log_p
-        grad = np.zeros_like(lp)
-        for s, k in enumerate(ext):
-            grad[:, k] += np.exp(occ[:, s])
-        return [(x, (-g * grad).astype(x.data.dtype))]
+        occ = alpha + beta - em - log_p[:, None, None]
+        grad = np.zeros((len(rows), U, x.data.shape[2]))
+        for s in range(ext.shape[1]):
+            grad[items, :, ext[:, s]] += np.exp(occ[:, :, s])
+        full = np.zeros_like(x.data)
+        full[rows, :U] = -g[:, None, None] * grad
+        return [(x, full)]
 
-    return make(np.asarray(-log_p, dtype=x.data.dtype), (x,), backward)
+    losses = ops.unbind(make(np.asarray(-log_p, dtype=dtype), (x,), backward))
+    for r, loss in zip(rows, losses):
+        out[r] = loss
+    return out
+
+
+def ctc_loss(log_probs: Tensor | np.ndarray, labels) -> Tensor:
+    """Negative log-likelihood of one (U, V) sequence as a tape node; +inf
+    (no gradient) if infeasible. The batch-of-one case of ctc_losses."""
+    x = as_tensor(log_probs)
+    return ctc_losses(x.reshape(1, *x.shape), [x.shape[0]], [labels])[0]
 
 
 def ctc_brute_force(log_probs: np.ndarray, labels, max_frames: int = 12) -> float:

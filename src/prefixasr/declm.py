@@ -134,8 +134,11 @@ class DecoderLM:
             vd = v.data if cv is None else np.concatenate([cv, v.data], axis=0)
             cache[i] = (kd, vd)
             k, v = Tensor(kd), Tensor(vd)
-        att = attention(q, k, v, self.config.num_heads, mask=mask,
-                        dropout_p=drop, rng=rng)
+        keep = None
+        if drop > 0.0 and rng is not None:
+            keep = ops.dropout_mask((self.config.num_heads, q.shape[0], k.shape[0]),
+                                    drop, rng, q.data.dtype)
+        att = attention(q, k, v, self.config.num_heads, mask=mask, keep=keep)
         x = x + lora_linear(att, p[pre + "wo"], p[pre + "wo.b"], self.adapters[pre + "wo"])
         h = ops.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
         h = ops.swish(ops.linear(h, p[pre + "ffn1.w"], p[pre + "ffn1.b"]))

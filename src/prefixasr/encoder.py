@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -73,36 +74,48 @@ class ConformerEncoder:
             return dict(self.params)
         return {k: v for k, v in self.params.items() if not k.startswith("ctc.")}
 
-    def subsample(self, features: Tensor) -> Tensor:
-        """(T, 80) -> (ceil(T/stride), d_model) with positions added."""
+    def output_lengths(self, lengths: Sequence[int]) -> list[int]:
+        """Frames after the subsampler: ceil(T / subsample_stride) per item."""
+        return [-(-t // self.config.subsample_stride) for t in lengths]
+
+    def subsample(self, features: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+        """(..., T, 80) -> (..., ceil(T/stride), d_model) with positions added.
+
+        lengths, one per item of a padded batch, are the real frame counts."""
         p = self.params
         x = features
         num_sub = int(math.log2(self.config.subsample_stride))
         for i in range(num_sub):
+            x = _zero_padding(x, lengths)
             x = ops.conv1d(x, p[f"sub.conv{i}.w"], p[f"sub.conv{i}.b"], stride=2, pad=1)
             x = ops.swish(x)
+            if lengths is not None:
+                lengths = [-(-t // 2) for t in lengths]
         x = ops.linear(x, p["sub.proj.w"], p["sub.proj.b"])
-        U = x.shape[0]
+        U = x.shape[-2]
         if U > self.config.max_frames:
             raise ValueError(f"{U} frames exceed position table {self.config.max_frames}")
         return x + ops.narrow(p["sub.pos"], 0, 0, U)
 
-    def conformer_block(self, i: int, x: Tensor, train: bool = False,
-                        rng: np.random.Generator | None = None) -> Tensor:
+    def conformer_block(self, i: int, x: Tensor, lengths: Sequence[int] | None = None,
+                        att_keep: np.ndarray | None = None,
+                        ffn_keep: np.ndarray | None = None) -> Tensor:
+        """One block over (U, d) or a padded batch (B, U, d) whose items have
+        the given lengths; the keep masks are dropout masks (see forward)."""
         p = self.params
         pre = f"block{i}."
         cfg = self.config
-        drop = cfg.dropout if train else 0.0
 
         h = ops.layer_norm(x, p[pre + "ln_att.g"], p[pre + "ln_att.b"])
         q = ops.linear(h, p[pre + "wq"], p[pre + "wq.b"])
         k = ops.linear(h, p[pre + "wk"], p[pre + "wk.b"])
         v = ops.linear(h, p[pre + "wv"], p[pre + "wv.b"])
-        att = attention(q, k, v, cfg.num_heads, dropout_p=drop, rng=rng)
+        att = attention(q, k, v, cfg.num_heads, key_lengths=lengths, keep=att_keep)
         x = x + ops.linear(att, p[pre + "wo"], p[pre + "wo.b"])
 
         h = ops.layer_norm(x, p[pre + "ln_conv.g"], p[pre + "ln_conv.b"])
         h = ops.glu(ops.linear(h, p[pre + "pw1.w"], p[pre + "pw1.b"]))
+        h = _zero_padding(h, lengths)
         h = ops.depthwise_conv1d(h, p[pre + "dw.w"], p[pre + "dw.b"],
                                  pad=cfg.conv_kernel // 2)
         h = ops.layer_norm(h, p[pre + "ln_mid.g"], p[pre + "ln_mid.b"])
@@ -111,16 +124,48 @@ class ConformerEncoder:
 
         h = ops.layer_norm(x, p[pre + "ln_ffn.g"], p[pre + "ln_ffn.b"])
         h = ops.swish(ops.linear(h, p[pre + "ffn1.w"], p[pre + "ffn1.b"]))
-        if drop > 0.0 and rng is not None:
-            h = ops.dropout(h, drop, rng)
+        if ffn_keep is not None:
+            h = ops.mul_const(h, ffn_keep)
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
-    def forward(self, features: Tensor, train: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        x = self.subsample(features)
-        for i in range(self.config.num_layers):
-            x = self.conformer_block(i, x, train=train, rng=rng)
+    def _dropout_keeps(self, lengths: list[int], U: int, rng: np.random.Generator,
+                       dtype) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(attention keep, FFN keep) per block for a batch whose items have
+        `lengths` frames, padded to U. The masks are drawn item by item, and
+        within an item block by block, attention before FFN: the order in
+        which encoding the items one at a time draws them. Padding gets 0."""
+        cfg = self.config
+        L, B, h, f = cfg.num_layers, len(lengths), cfg.num_heads, cfg.ffn_dim
+        att = np.zeros((L, B, h, U, U), dtype)
+        ffn = np.zeros((L, B, U, f), dtype)
+        for b, u in enumerate(lengths):
+            for i in range(L):
+                att[i, b, :, :u, :u] = ops.dropout_mask((h, u, u), cfg.dropout, rng, dtype)
+                ffn[i, b, :u] = ops.dropout_mask((u, f), cfg.dropout, rng, dtype)
+        return list(zip(att, ffn))
+
+    def forward(self, features: Tensor, lengths: Sequence[int] | None = None,
+                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        """(T, 80) -> (U, d_model), or a zero-padded batch (B, T, 80) whose
+        items have `lengths` frames -> (B, U, d_model), U = ceil(T/stride).
+
+        Rows past an item's output length hold junk that a loss must ignore.
+        """
+        batched = features.data.ndim == 3
+        if lengths is None:
+            lengths = [features.shape[-2]] * (features.shape[0] if batched else 1)
+        x = self.subsample(features, lengths if batched else None)
+        U = x.shape[-2]
+        out_lengths = self.output_lengths(lengths)
+        keeps = [(None, None)] * self.config.num_layers
+        if train and self.config.dropout > 0.0 and rng is not None:
+            keeps = self._dropout_keeps(out_lengths, U, rng, x.data.dtype)
+            if not batched:
+                keeps = [(a[0], f[0]) for a, f in keeps]
+        padded = out_lengths if min(out_lengths) < U else None
+        for i, (att_keep, ffn_keep) in enumerate(keeps):
+            x = self.conformer_block(i, x, padded, att_keep, ffn_keep)
         return x
 
     def ctc_logits(self, embeddings: Tensor) -> Tensor:
@@ -131,5 +176,25 @@ class ConformerEncoder:
         """Returns (embeddings (U, d_model), ctc log-probs (U, ctc_vocab+1))."""
         x = Tensor(features.frames.astype(self.params["ctc.w"].data.dtype))
         emb = self.forward(x, train=train, rng=rng)
-        logits = self.ctc_logits(emb)
-        return emb, ops.log_softmax(logits)
+        return emb, ops.log_softmax(self.ctc_logits(emb))
+
+    def encode_batch(self, features: Sequence[FeatureMatrix], train: bool = False,
+                     rng: np.random.Generator | None = None):
+        """Encode as one zero-padded (B, T, 80) batch. Returns (ctc log-probs
+        (B, U, ctc_vocab+1), the real U of each item)."""
+        lengths = [f.frames.shape[0] for f in features]
+        frames = np.zeros((len(features), max(lengths), self.config.num_features),
+                          dtype=self.params["ctc.w"].data.dtype)
+        for row, f in zip(frames, features):
+            row[:len(f.frames)] = f.frames
+        emb = self.forward(Tensor(frames), lengths, train=train, rng=rng)
+        return ops.log_softmax(self.ctc_logits(emb)), self.output_lengths(lengths)
+
+
+def _zero_padding(x: Tensor, lengths: Sequence[int] | None) -> Tensor:
+    """Zero the rows of a padded batch (B, T, C) at and past each item's
+    length, as a convolution over one unpadded item would see them."""
+    if lengths is None or min(lengths) == x.shape[-2]:
+        return x
+    rows = np.arange(x.shape[-2]) < np.asarray(lengths)[:, None]
+    return ops.mul_const(x, rows[:, :, None].astype(x.data.dtype))

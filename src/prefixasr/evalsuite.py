@@ -145,10 +145,15 @@ class EvalReport:
 
 
 def eval_corpus(system, entries, max_decode_tokens: int | None = None) -> EvalReport:
-    """Greedy-decode every utterance; unreadable audio is recorded as a skip."""
+    """Greedy-decode every utterance. Unreadable audio, and a reference with
+    no words once normalized (WER is undefined), are recorded as skips."""
     stats: dict[str, LanguageStats] = {}
     skipped: list[dict] = []
     for e in entries:
+        if not normalize_text(e.text):
+            skipped.append({"audio_path": e.audio_path,
+                            "reason": f"reference {e.text!r} has no words"})
+            continue
         try:
             wav = frontend.load_audio(e.audio_path)
             feats = frontend.log_mel(wav, system.normalizer)

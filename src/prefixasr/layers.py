@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .numcore import Tensor, param
@@ -36,37 +38,48 @@ def init_embedding(rng: np.random.Generator, num: int, dim: int) -> Tensor:
 
 
 def split_heads(x: Tensor, num_heads: int) -> Tensor:
-    """(T, d) -> (h, T, d/h)."""
-    T, d = x.shape
-    return x.reshape(T, num_heads, d // num_heads).transpose(1, 0, 2)
+    """(..., T, d) -> (..., h, T, d/h)."""
+    *lead, T, d = x.shape
+    n = len(lead)
+    return x.reshape(*lead, T, num_heads, d // num_heads).transpose(
+        *range(n), n + 1, n, n + 2)
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """(h, T, dh) -> (T, h*dh)."""
-    h, T, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(T, h * dh)
+    """(..., h, T, dh) -> (..., T, h*dh)."""
+    *lead, h, T, dh = x.shape
+    n = len(lead)
+    return x.transpose(*range(n), n + 1, n, n + 2).reshape(*lead, T, h * dh)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
               mask: np.ndarray | None = None,
-              dropout_p: float = 0.0,
-              rng: np.random.Generator | None = None) -> Tensor:
-    """Scaled dot-product attention over one sequence.
+              key_lengths: Sequence[int] | None = None,
+              keep: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention over one sequence or a padded batch.
 
-    q: (Tq, d), k/v: (Tk, d). mask is additive (-inf style), shape (Tq, Tk).
-    Returns (Tq, d).
+    q: (..., Tq, d), k/v: (..., Tk, d). mask is additive (-inf style) and
+    broadcasts to (..., h, Tq, Tk). key_lengths (one per batch item) bans
+    the padded keys at and past each length. keep is a dropout keep mask
+    over the attention weights (see ops.dropout_mask). Returns (..., Tq, d).
     """
     d = q.shape[-1]
     dh = d // num_heads
     qh = split_heads(q, num_heads)
     kh = split_heads(k, num_heads)
     vh = split_heads(v, num_heads)
-    scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / np.sqrt(dh))
+    n = len(kh.shape)
+    scores = (qh @ kh.transpose(*range(n - 2), n - 1, n - 2)) * (1.0 / np.sqrt(dh))
+    if key_lengths is not None:
+        cols = np.arange(kh.shape[-2])
+        pad = np.where(cols < np.asarray(key_lengths)[:, None], 0.0, -1e9)
+        pad = pad[:, None, None, :].astype(scores.data.dtype)  # (B, 1, 1, Tk)
+        mask = pad if mask is None else mask + pad
     if mask is not None:
-        scores = ops.add_mask(scores, mask[None, :, :])
+        scores = ops.add_mask(scores, mask)
     weights = ops.softmax(scores, axis=-1)
-    if dropout_p > 0.0 and rng is not None:
-        weights = ops.dropout(weights, dropout_p, rng)
+    if keep is not None:
+        weights = ops.mul_const(weights, keep)
     return merge_heads(weights @ vh)
 
 

@@ -99,10 +99,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes=None) -> Tensor:
     out = np.transpose(a.data, axes)
-    inv = None if axes is None else np.argsort(axes)
 
     def backward(g):
-        return [(a, np.transpose(g, inv))]
+        return [(a, np.transpose(g, None if axes is None else np.argsort(axes)))]
 
     return make(out, (a,), backward)
 
@@ -320,59 +319,84 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return make(out, (x,), backward)
 
 
+def _pad_time(a: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad the time axis (second to last) by `pad` on both sides."""
+    return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(pad, pad), (0, 0)])
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Time convolution: x (T, Cin), w (k, Cin, Cout), b (Cout,)."""
-    k = w.data.shape[0]
-    T = x.data.shape[0]
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
+    """Time convolution: x (..., T, Cin), w (k, Cin, Cout), b (Cout,)."""
+    k, cin, cout = w.data.shape
+    lead, T = x.data.shape[:-2], x.data.shape[-2]
     To = (T + 2 * pad - k) // stride + 1
-    out = np.broadcast_to(b.data, (To, w.data.shape[2])).copy()
-    offsets = [j + stride * np.arange(To) for j in range(k)]
+    taps = [(Ellipsis, slice(j, j + stride * (To - 1) + 1, stride), slice(None))
+            for j in range(k)]
+    xp = _pad_time(x.data, pad)
+    out = np.broadcast_to(b.data, (*lead, To, cout)).copy()
+    flat = out.reshape(-1, cout)
     for j in range(k):
-        out += xp[offsets[j]] @ w.data[j]
+        flat += xp[taps[j]].reshape(-1, cin) @ w.data[j]
 
     def backward(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
+        # re-pad rather than keep a padded copy alive until backward
+        xp = _pad_time(x.data, pad)
+        g2 = g.reshape(-1, cout)
+        gw = np.empty_like(w.data)
+        grads = [(w, gw), (b, g2.sum(axis=0))]
+        gxp = np.zeros_like(xp) if x.requires_grad else None
         for j in range(k):
-            gw[j] = xp[offsets[j]].T @ g
-            np.add.at(gxp, offsets[j], g @ w.data[j].T)
-        gx = gxp[pad:pad + T] if pad else gxp
-        return [(x, gx), (w, gw), (b, g.sum(axis=0))]
+            gw[j] = xp[taps[j]].reshape(-1, cin).T @ g2
+            if gxp is not None:
+                # the rows one tap touches are distinct, so a slice add is exact
+                gxp[taps[j]] += (g2 @ w.data[j].T).reshape(*lead, To, cin)
+        if gxp is not None:
+            grads.append((x, gxp[..., pad:pad + T, :]))
+        return grads
 
     return make(out, (x, w, b), backward)
 
 
 def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
-    """Per-channel time convolution: x (T, C), w (k, C), b (C,). Stride 1."""
-    k = w.data.shape[0]
-    T = x.data.shape[0]
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
+    """Per-channel time convolution: x (..., T, C), w (k, C), b (C,). Stride 1."""
+    k, C = w.data.shape
+    T = x.data.shape[-2]
     To = T + 2 * pad - k + 1
-    out = np.broadcast_to(b.data, (To, x.data.shape[1])).copy()
+    xp = _pad_time(x.data, pad)
+    out = np.broadcast_to(b.data, (*x.data.shape[:-2], To, C)).copy()
     for j in range(k):
-        out += xp[j:j + To] * w.data[j]
+        out += xp[..., j:j + To, :] * w.data[j]
 
     def backward(g):
+        xp = _pad_time(x.data, pad)
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(w.data)
         for j in range(k):
-            gw[j] = (xp[j:j + To] * g).sum(axis=0)
-            gxp[j:j + To] += g * w.data[j]
-        gx = gxp[pad:pad + T] if pad else gxp
-        return [(x, gx), (w, gw), (b, g.sum(axis=0))]
+            gw[j] = (xp[..., j:j + To, :] * g).reshape(-1, C).sum(axis=0)
+            gxp[..., j:j + To, :] += g * w.data[j]
+        return [(x, gxp[..., pad:pad + T, :]), (w, gw),
+                (b, g.reshape(-1, C).sum(axis=0))]
 
     return make(out, (x, w, b), backward)
+
+
+def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-dropout keep mask: 0 with probability p, else 1/(1-p)."""
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    out = x.data * keep
+    return mul_const(x, dropout_mask(x.data.shape, p, rng, x.data.dtype))
+
+
+def mul_const(x: Tensor, c: np.ndarray) -> Tensor:
+    """Multiply by a constant (non-differentiated) array that broadcasts to x,
+    e.g. a dropout mask or a 0/1 mask over padded rows."""
+    out = x.data * c
 
     def backward(g):
-        return [(x, g * keep)]
+        return [(x, g * c)]
 
     return make(out, (x,), backward)
 
@@ -387,8 +411,34 @@ def add_mask(x: Tensor, mask: np.ndarray) -> Tensor:
     return make(out, (x,), backward)
 
 
+def unbind(a: Tensor) -> list[Tensor]:
+    """Split a along its first axis into a[0], a[1], ..., one tape node each."""
+    def item(i):
+        def backward(g):
+            full = np.zeros_like(a.data)
+            full[i] = g
+            return [(a, full)]
+
+        return make(np.asarray(a.data[i]), (a,), backward)
+
+    return [item(i) for i in range(a.data.shape[0])]
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    y = matmul(x, w)
+    """x (..., d_in) @ w (d_in, d_out) + b as one tape node."""
+    d_in, d_out = w.data.shape
+    out = x.data.reshape(-1, d_in) @ w.data
     if b is not None:
-        y = add(y, b)
-    return y
+        out += b.data
+    out = out.reshape(*x.data.shape[:-1], d_out)
+
+    def backward(g):
+        g2 = g.reshape(-1, d_out)
+        grads = [(w, x.data.reshape(-1, d_in).T @ g2)]
+        if x.requires_grad:
+            grads.append((x, (g2 @ w.data.T).reshape(x.data.shape)))
+        if b is not None:
+            grads.append((b, g2.sum(axis=0)))
+        return grads
+
+    return make(out, (x, w) if b is None else (x, w, b), backward)

@@ -124,11 +124,12 @@ class AsrSystem:
         """Start joint training from an encoder-pretraining checkpoint.
 
         Only encoder weights and feature statistics carry over; bridge, LM
-        and adapters are freshly initialized from `seed`.
+        and adapters are freshly initialized from `seed`. With
+        frontend.normalize off there is no normalizer, as in training.
         """
         stats = ckpt.namespace("frontend.mel_")
         normalizer = None
-        if stats:
+        if stats and cfg.frontend.normalize:
             normalizer = FeatureNormalizer(mean=stats["mean"].astype(np.float32),
                                            std=stats["std"].astype(np.float32))
         system = cls(cfg, CharTokenizer.from_dict(ckpt.metadata["tokenizer"]),

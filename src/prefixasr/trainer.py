@@ -2,10 +2,12 @@
 training with text masking and language-balanced sampling.
 
 Both stages run through one stage runner; a StageSpec holds what differs
-between them. Runs are deterministic for a given (manifest, config, seed):
-every random draw comes from a stream keyed by (seed, stage, purpose, step),
-so resuming from a saved state reproduces the exact trajectory of an
-uninterrupted run.
+between them. Stage 1 encodes each step's batch as one zero-padded batch
+and scores it with a batched CTC; stage 2 builds one graph per utterance.
+
+Runs are deterministic for a given (manifest, config, seed): every random
+draw comes from a stream keyed by (seed, stage, purpose, step), so resuming
+from a saved state reproduces the exact trajectory of an uninterrupted run.
 
 A per-utterance loss of +inf means the utterance has no CTC alignment; it is
 dropped from the batch mean, and a batch with nothing left is skipped as
@@ -24,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import ctc, frontend
-from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
+from .checkpoint import (CheckpointError, ModelCheckpoint, load_checkpoint,
+                         save_checkpoint)
 from .config import RunConfig, StageSection
 from .encoder import ConformerEncoder, EncoderConfig
 from .numcore import (AdamState, NonFiniteGradientError, Tensor, adam_step,
@@ -172,9 +175,9 @@ class StageSpec:
     tokenizer: CharTokenizer
     normalizer: frontend.FeatureNormalizer | None
     params: dict[str, Tensor]
-    # (features, transcript, train, rng) -> scalar loss tensor
-    utt_loss: Callable[[frontend.FeatureMatrix, str, bool, np.random.Generator | None],
-                       Tensor]
+    # (features, transcripts, train, rng) -> one scalar loss per utterance
+    batch_loss: Callable[[list[frontend.FeatureMatrix], list[str], bool,
+                          np.random.Generator | None], list[Tensor]]
     # the model tensors that checkpoints hold, and their inverse on resume
     model_tensors: Callable[[], dict[str, np.ndarray]]
     load_tensors: Callable[[dict[str, np.ndarray]], None]
@@ -202,6 +205,22 @@ def _write_log(out_dir, rows):
         writer.writerows(rows)
 
 
+def _chunk_by_duration(utts: list[PreparedUtterance],
+                      seconds: float) -> list[list[PreparedUtterance]]:
+    """Consecutive runs of utts holding at most `seconds` of audio each (a
+    longer utterance forms a run of its own)."""
+    chunks: list[list[PreparedUtterance]] = []
+    total = 0.0
+    for u in utts:
+        if chunks and total + u.duration <= seconds:
+            chunks[-1].append(u)
+            total += u.duration
+        else:
+            chunks.append([u])
+            total = u.duration
+    return chunks
+
+
 def _mean_feasible(losses):
     """Left-to-right sum of the losses that are not +inf, times 1/n; None
     when every loss is +inf."""
@@ -223,11 +242,12 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
     train_utts = [utts[i] for i in train_idx]
     valid_utts = [utts[i] for i in valid_idx] or train_utts
     hours = hours_by_language(train_utts)
+    valid_chunks = _chunk_by_duration(valid_utts, tcfg.batch_seconds)
     spec: StageSpec = make_spec(train_utts)
-    normalizer = spec.normalizer if cfg.frontend.normalize else None
 
-    def utt_loss(u: PreparedUtterance, train: bool, rng=None):
-        return spec.utt_loss(u.features(normalizer), u.entry.text, train, rng)
+    def batch_loss(batch: list[PreparedUtterance], train: bool, rng=None):
+        return spec.batch_loss([u.features(spec.normalizer) for u in batch],
+                               [u.entry.text for u in batch], train, rng)
 
     names = sorted(spec.params)
     params = [spec.params[n] for n in names]
@@ -238,6 +258,12 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
     best: dict[str, np.ndarray] | None = None
     if resume and state_path is not None and Path(state_path).exists():
         saved = load_checkpoint(state_path)
+        run_config = cfg.to_dict()
+        changed = sorted(k for k in set(saved.config) | set(run_config)
+                         if k != "training" and saved.config.get(k) != run_config.get(k))
+        if changed:
+            raise CheckpointError(f"{state_path}: the saved state has a different "
+                                  f"{', '.join(changed)} config than this run")
         state = _TrainState(**saved.metadata["train_state"])
         if state.stage != spec.name:
             raise ValueError(f"state is for stage {state.stage!r}, not {spec.name!r}")
@@ -270,7 +296,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
             p.grad = None
         batch = sample_batch(train_utts, hours, tcfg.sampling_alpha,
                              tcfg.batch_seconds, rng)
-        loss = _mean_feasible(utt_loss(u, True, rng) for u in batch)
+        loss = _mean_feasible(batch_loss(batch, True, rng))
         if loss is None:
             state.infeasible += 1
             continue
@@ -279,6 +305,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
             diverged = True
             break
         loss.backward()
+        del loss  # free this step's graph before the next step builds its own
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
                  for p in params]
         clip_grad_norm(grads, tcfg.grad_clip)
@@ -289,7 +316,8 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
             continue
         if state.step % tcfg.eval_interval == 0 or state.step == max_steps:
             with no_grad():
-                vals = [utt_loss(u, False).item() for u in valid_utts]
+                vals = [l.item() for chunk in valid_chunks
+                        for l in batch_loss(chunk, False)]
             vals = [v for v in vals if v != math.inf]
             valid = float(np.mean(vals)) if vals else math.inf
             state.log.append({"step": state.step, "lr": lr,
@@ -326,19 +354,23 @@ def pretrain_encoder(entries: list[ManifestEntry], cfg: RunConfig,
     """Stage 1: train encoder + CTC head; returns the best-validation model."""
     def make_spec(train_utts):
         tokenizer = CharTokenizer.from_texts([e.text for e in entries])
-        normalizer = frontend.FeatureNormalizer.fit([u.raw_frames for u in train_utts])
+        normalizer = None
+        if cfg.frontend.normalize:
+            normalizer = frontend.FeatureNormalizer.fit([u.raw_frames for u in train_utts])
         encoder = ConformerEncoder(EncoderConfig(
             **asdict(cfg.encoder), ctc_vocab=tokenizer.ctc_vocab_size),
             seed=cfg.training.seed)
 
-        def utt_loss(feats, text, train, rng):
-            _, log_probs = encoder.encode(feats, train=train, rng=rng)
-            return ctc.ctc_loss(log_probs, tokenizer.encode_ctc(text))
+        def batch_loss(feats, texts, train, rng):
+            log_probs, lengths = encoder.encode_batch(feats, train=train, rng=rng)
+            return ctc.ctc_losses(log_probs, lengths,
+                                  [tokenizer.encode_ctc(t) for t in texts])
 
         def model_tensors():
             out = {"encoder." + k: v.data for k, v in encoder.params.items()}
-            out["frontend.mel_mean"] = normalizer.mean
-            out["frontend.mel_std"] = normalizer.std
+            if normalizer is not None:
+                out["frontend.mel_mean"] = normalizer.mean
+                out["frontend.mel_std"] = normalizer.std
             return out
 
         def load_tensors(tensors):
@@ -349,7 +381,7 @@ def pretrain_encoder(entries: list[ManifestEntry], cfg: RunConfig,
 
         return StageSpec("ctc_pretrain", cfg.training.pretrain, tokenizer, normalizer,
                          {"encoder." + k: v for k, v in encoder.params.items()},
-                         utt_loss, model_tensors, load_tensors)
+                         batch_loss, model_tensors, load_tensors)
 
     return _run_stage(entries, cfg, make_spec, out_dir, state_path, resume, stop_fn)
 
@@ -370,8 +402,11 @@ def train_joint(entries: list[ManifestEntry], cfg: RunConfig,
             return system.joint_loss(feats, text, input_text_ids=inputs,
                                      train=train, rng=rng)
 
+        def batch_loss(feats, texts, train, rng):
+            return [utt_loss(f, t, train, rng) for f, t in zip(feats, texts)]
+
         return StageSpec("joint", tcfg.joint, system.tokenizer, system.normalizer,
-                         system.joint_trainable(), utt_loss, system.all_tensors,
+                         system.joint_trainable(), batch_loss, system.all_tensors,
                          lambda tensors: system.load_tensors(tensors, require_all=False))
 
     return _run_stage(entries, cfg, make_spec, out_dir, state_path, resume, stop_fn)

@@ -106,3 +106,36 @@ def test_failed_save_keeps_previous_file(tmp_path, ckpt, monkeypatch):
     for name, arr in ckpt.tensors.items():
         np.testing.assert_array_equal(loaded.tensors[name], arr)
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
+
+
+def _cut_mid_tensor(data):
+    return data[:-7]
+
+
+def _bad_json(data):
+    return data.replace(b'{"config"', b'["config"', 1)
+
+
+def _no_config(data):
+    return data.replace(b'"config"', b'"konfig"', 1)
+
+
+def _unknown_dtype(data):
+    at = data.index(b"lm.tok") + len(b"lm.tok")
+    return data[:at] + b"\x07" + data[at + 1:]
+
+
+def _trailing_bytes(data):
+    return data + b"\x00\x00\x00\x00"
+
+
+@pytest.mark.parametrize("corrupt", [_cut_mid_tensor, _bad_json, _no_config,
+                                     _unknown_dtype, _trailing_bytes],
+                         ids=["cut_mid_tensor", "bad_json", "no_config",
+                              "unknown_dtype", "trailing_bytes"])
+def test_corrupt_file_rejected(tmp_path, ckpt, corrupt):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, ckpt)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)

@@ -195,3 +195,27 @@ def test_resume_matches_uninterrupted(toy_corpus, fast_cfg_file, tmp_path):
     resumed = load_checkpoint(b / "encoder.ckpt")
     for name, arr in full.tensors.items():
         np.testing.assert_array_equal(resumed.tensors[name], arr, err_msg=name)
+
+
+def test_resume_with_other_model_config_exit_3(toy_corpus, fast_cfg_file, tmp_path):
+    manifest, _ = toy_corpus
+    assert run("pretrain", "--config", fast_cfg_file, "--set", "encoder.d_model=64",
+               "--set", "training.pretrain.max_steps=10", "--manifest",
+               str(manifest), "--out-dir", str(tmp_path)) == 0
+    assert run("pretrain", "--config", fast_cfg_file, "--set", "encoder.d_model=32",
+               "--manifest", str(manifest), "--out-dir", str(tmp_path),
+               "--resume") == cli.EXIT_BAD_DATA
+
+
+def test_no_normalizer_when_normalization_is_off(toy_corpus, fast_cfg_file, tmp_path):
+    from prefixasr.system import AsrSystem
+    manifest, _ = toy_corpus
+    common = ["--config", fast_cfg_file, "--set", "frontend.normalize=false",
+              "--set", "training.pretrain.max_steps=2",
+              "--set", "training.joint.max_steps=2",
+              "--manifest", str(manifest), "--out-dir", str(tmp_path)]
+    assert run("pretrain", *common) == 0
+    assert run("train", *common, "--ckpt", str(tmp_path / "encoder.ckpt")) == 0
+    system = AsrSystem.from_checkpoint(load_checkpoint(tmp_path / "model.ckpt"))
+    assert system.cfg.frontend.normalize is False
+    assert system.normalizer is None

@@ -97,6 +97,58 @@ class TestCtcLoss:
         assert a == pytest.approx(b, abs=1e-9)
 
 
+class TestBatchedCtc:
+    # (frames, labels): padding in both U and S, an empty label sequence, a
+    # repeat that needs a blank, and an infeasible item
+    ITEMS = [(6, [1, 2, 1]), (3, [3]), (5, []), (4, [2, 2]), (2, [1, 2, 3]), (6, [3, 1])]
+
+    def batch(self, rng):
+        U = max(u for u, _ in self.ITEMS)
+        lp = np.stack([random_lp(rng, U, 4) for _ in self.ITEMS])
+        return nc.param(lp), [u for u, _ in self.ITEMS], [l for _, l in self.ITEMS]
+
+    def test_matches_single_sequences(self):
+        rng = np.random.default_rng(12)
+        with nc.use_dtype(np.float64):
+            lp, frames, labels = self.batch(rng)
+            losses = ctc.ctc_losses(lp, frames, labels)
+            assert math.isinf(losses[4].item()) and not losses[4].requires_grad
+            total = losses[0]
+            for loss in losses[1:4] + losses[5:]:
+                total = total + loss
+            total.backward()
+            batched_grad = lp.grad.copy()
+            for i, (u, l) in enumerate(self.ITEMS):
+                item = nc.param(lp.data[i, :u])
+                single = ctc.ctc_loss(item, l)
+                if math.isinf(single.item()):
+                    assert math.isinf(losses[i].item())
+                    assert not batched_grad[i].any()
+                    continue
+                assert losses[i].item() == pytest.approx(single.item(), abs=1e-12)
+                single.backward()
+                np.testing.assert_allclose(batched_grad[i, :u], item.grad, atol=1e-12)
+                assert not batched_grad[i, u:].any()
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        with nc.use_dtype(np.float64):
+            logits = nc.param(rng.standard_normal((len(self.ITEMS), 6, 4)))
+            frames = [u for u, _ in self.ITEMS]
+            labels = [l for _, l in self.ITEMS]
+
+            def loss_fn():
+                losses = ctc.ctc_losses(ops.log_softmax(logits), frames, labels)
+                kept = [l for l in losses if l.requires_grad]
+                total = kept[0]
+                for loss in kept[1:]:
+                    total = total + loss
+                return total
+
+            report = nc.grad_check(loss_fn, {"logits": logits})
+            assert report.max_rel_error < 1e-6
+
+
 class TestBruteForce:
     def test_label_longer_than_frames(self):
         assert math.isinf(ctc.ctc_brute_force(uniform_lp(1, 3), [1, 2]))

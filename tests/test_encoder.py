@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from prefixasr import ctc
 from prefixasr import numcore as nc
 from prefixasr.encoder import ConformerEncoder, EncoderConfig
 from prefixasr.frontend import FeatureMatrix
+from prefixasr.layers import attention
 from prefixasr.numcore import Tensor, ops
+from prefixasr.numcore.rng import generator
 
 
 def tiny_config(**kw):
@@ -115,3 +120,68 @@ class TestEncode:
         with_head = enc.parameters(include_ctc_head=True)
         without = enc.parameters(include_ctc_head=False)
         assert set(with_head) - set(without) == {"ctc.w", "ctc.b"}
+
+
+class TestBatched:
+    def test_attention_gradient_with_key_padding(self):
+        rng = np.random.default_rng(15)
+        lengths = [5, 2, 4]
+        with nc.use_dtype(np.float64):
+            q, k, v = (nc.param(rng.standard_normal((3, 5, 4))) for _ in range(3))
+            keep = ops.dropout_mask((3, 2, 5, 5), 0.3, rng, np.float64)
+            wts = nc.as_tensor(rng.standard_normal((3, 5, 4)))
+            report = nc.grad_check(
+                lambda: (attention(q, k, v, 2, key_lengths=lengths, keep=keep) * wts).sum(),
+                {"q": q, "k": k, "v": v})
+            assert report.max_rel_error < 1e-5, report.per_param
+
+    def test_attention_rows_match_single_sequences(self):
+        rng = np.random.default_rng(16)
+        lengths = [5, 2, 4]
+        with nc.use_dtype(np.float64):
+            q, k, v = (Tensor(rng.standard_normal((3, 5, 4))) for _ in range(3))
+            out = attention(q, k, v, 2, key_lengths=lengths).data
+            for i, T in enumerate(lengths):
+                one = attention(Tensor(q.data[i, :T]), Tensor(k.data[i, :T]),
+                                Tensor(v.data[i, :T]), 2).data
+                np.testing.assert_allclose(out[i, :T], one, rtol=1e-12, atol=1e-12)
+
+    def test_batch_matches_loop_of_single_utterances(self):
+        """One padded batch against encoding and scoring the utterances one
+        at a time from the same step RNG: same dropout draws, same losses and
+        the same gradients, with an infeasible utterance dropped."""
+        with nc.use_dtype(np.float64):
+            enc = ConformerEncoder(tiny_config(dropout=0.1), seed=13)
+            rng = np.random.default_rng(14)
+            feats = [FeatureMatrix(rng.standard_normal((T, 80)))
+                     for T in (50, 17, 33, 64, 9, 41)]
+            # 9 frames subsample to 2, too few for 7 labels: infeasible
+            labels = [[1, 2, 3], [4], [1, 1, 2], [5, 4, 3, 2, 1],
+                      [1, 2, 3, 4, 5, 1, 2], [2]]
+
+            def run(batched):
+                for p in enc.params.values():
+                    p.grad = None
+                step_rng = generator(0, "test", "step", 1)
+                if batched:
+                    log_probs, frames = enc.encode_batch(feats, train=True, rng=step_rng)
+                    losses = ctc.ctc_losses(log_probs, frames, labels)
+                else:
+                    losses = [ctc.ctc_loss(enc.encode(f, train=True, rng=step_rng)[1], l)
+                              for f, l in zip(feats, labels)]
+                kept = [l for l in losses if l.item() != math.inf]
+                total = kept[0]
+                for loss in kept[1:]:
+                    total = total + loss
+                total.backward()
+                return ([l.item() for l in losses], step_rng.random(),
+                        {n: p.grad.copy() for n, p in enc.params.items()})
+
+            losses, next_draw, grads = run(batched=True)
+            want_losses, want_draw, want_grads = run(batched=False)
+            assert math.isinf(losses[4]) and math.isinf(want_losses[4])
+            np.testing.assert_allclose(losses, want_losses, rtol=1e-6)
+            assert next_draw == want_draw
+            for name, want in want_grads.items():
+                np.testing.assert_allclose(grads[name], want, rtol=1e-6, atol=1e-9,
+                                           err_msg=name)

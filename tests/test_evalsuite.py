@@ -174,6 +174,18 @@ def test_eval_corpus_records_skips(toy_corpus, tmp_path):
     assert counted == len(entries) - 1
 
 
+def test_eval_corpus_skips_empty_reference(toy_corpus):
+    _, entries = toy_corpus
+    empty = trainer.ManifestEntry(entries[0].audio_path, "?!", "aa")
+    system = EchoSystem([e.text for e in entries])
+    report = eval_corpus(system, [empty] + entries)
+    assert len(report.skipped) == 1
+    assert "no words" in report.skipped[0]["reason"]
+    assert report.average == 0.0
+    counted = sum(s.utterances for s in report.per_language.values())
+    assert counted == len(entries)
+
+
 # -- alignment ---------------------------------------------------------------
 
 def test_cosine_matrix_basic():

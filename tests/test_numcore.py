@@ -104,6 +104,70 @@ class TestPrimitiveGradients:
             self.check(lambda: ops.concat([x, x], axis=1).sum(), {"x": x})
 
 
+class TestBatchedPrimitiveGradients:
+    """The sequence ops with a leading batch axis over a zero-padded batch,
+    vs central finite differences in 64-bit mode."""
+
+    LENGTHS = [9, 5, 7]
+
+    def padded(self, rng, channels):
+        """x (B, T, C) and the 0/1 row mask of its real frames."""
+        x = nc.param(rand(rng, len(self.LENGTHS), max(self.LENGTHS), channels))
+        rows = np.arange(max(self.LENGTHS)) < np.array(self.LENGTHS)[:, None]
+        return x, rows[:, :, None].astype(np.float64)
+
+    def check(self, build, params):
+        report = nc.grad_check(build, params)
+        assert report.max_rel_error < 1e-5, report.per_param
+
+    def test_linear(self):
+        rng = np.random.default_rng(20)
+        with nc.use_dtype(np.float64):
+            x, rows = self.padded(rng, 4)
+            w = nc.param(rand(rng, 4, 3))
+            b = nc.param(rand(rng, 3))
+            wts = nc.as_tensor(rand(rng, 3, 9, 3) * rows)
+            self.check(lambda: (ops.linear(x, w, b) * wts).sum(), {"x": x, "w": w, "b": b})
+            self.check(lambda: (ops.linear(x, w) * wts).sum(), {"x": x, "w": w})
+
+    def test_conv1d(self):
+        rng = np.random.default_rng(21)
+        with nc.use_dtype(np.float64):
+            x, rows = self.padded(rng, 3)
+            w = nc.param(rand(rng, 3, 3, 4))
+            b = nc.param(rand(rng, 4))
+            wts = nc.as_tensor(rand(rng, 3, 5, 4))
+            self.check(lambda: (ops.conv1d(ops.mul_const(x, rows), w, b, stride=2, pad=1)
+                                * wts).sum(), {"x": x, "w": w, "b": b})
+
+    def test_depthwise_conv1d(self):
+        rng = np.random.default_rng(22)
+        with nc.use_dtype(np.float64):
+            x, rows = self.padded(rng, 4)
+            w = nc.param(rand(rng, 5, 4))
+            b = nc.param(rand(rng, 4))
+            wts = nc.as_tensor(rand(rng, 3, 9, 4) * rows)
+            self.check(lambda: (ops.depthwise_conv1d(ops.mul_const(x, rows), w, b, pad=2)
+                                * wts).sum(), {"x": x, "w": w, "b": b})
+
+    def test_batched_conv_rows_match_single_items(self):
+        rng = np.random.default_rng(23)
+        x, rows = self.padded(rng, 3)
+        w, b = nc.as_tensor(rand(rng, 3, 3, 4)), nc.as_tensor(rand(rng, 4))
+        dw, db = nc.as_tensor(rand(rng, 5, 3)), nc.as_tensor(rand(rng, 3))
+        xz = ops.mul_const(x, rows)
+        conv = ops.conv1d(xz, w, b, stride=2, pad=1).data
+        depth = ops.depthwise_conv1d(xz, dw, db, pad=2).data
+        for i, T in enumerate(self.LENGTHS):
+            item = nc.as_tensor(x.data[i, :T])
+            np.testing.assert_allclose(
+                conv[i, :(T + 1) // 2], ops.conv1d(item, w, b, stride=2, pad=1).data,
+                rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                depth[i, :T], ops.depthwise_conv1d(item, dw, db, pad=2).data,
+                rtol=1e-12, atol=1e-12)
+
+
 def test_quadratic_gradient_exact():
     with nc.use_dtype(np.float64):
         x = nc.param(np.array([3.0]))

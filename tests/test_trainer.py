@@ -224,7 +224,9 @@ def test_joint_early_stops_on_plateau(pretrain_result):
 
 def patch_utt_loss(monkeypatch, stage, replace):
     """Route each per-utterance loss of `stage` through
-    replace(loss, step, call), where call counts the losses within a step."""
+    replace(loss, step, call), where call counts the losses within a step.
+    Stage 1 scores a whole batch in one ctc_losses call, so each of the
+    losses it returns is replaced in turn."""
     where = {"step": 0, "call": 0}
     sample_batch = trainer.sample_batch
 
@@ -233,18 +235,20 @@ def patch_utt_loss(monkeypatch, stage, replace):
         where["call"] = 0
         return sample_batch(*args, **kwargs)
 
-    def wrap(fn):
-        def patched(*args, **kwargs):
-            out = replace(fn(*args, **kwargs), where["step"], where["call"])
-            where["call"] += 1
-            return out
-        return patched
+    def each(loss):
+        out = replace(loss, where["step"], where["call"])
+        where["call"] += 1
+        return out
 
     monkeypatch.setattr(trainer, "sample_batch", counting_sample_batch)
     if stage == "pretrain":
-        monkeypatch.setattr(ctc, "ctc_loss", wrap(ctc.ctc_loss))
+        losses = ctc.ctc_losses
+        monkeypatch.setattr(ctc, "ctc_losses",
+                            lambda *a, **k: [each(l) for l in losses(*a, **k)])
     else:
-        monkeypatch.setattr(AsrSystem, "joint_loss", wrap(AsrSystem.joint_loss))
+        joint_loss = AsrSystem.joint_loss
+        monkeypatch.setattr(AsrSystem, "joint_loss",
+                            lambda *a, **k: each(joint_loss(*a, **k)))
 
 
 def run_stage(stage, pretrain_result, max_steps):
