@@ -50,9 +50,6 @@ class Bridge:
             "proj.b": init_bias(config.d_llm),
         }
 
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
-
     def project(self, stacked: Tensor) -> Tensor:
         expect = self.config.n * self.config.d_encoder
         if stacked.shape[-1] != expect:

@@ -73,7 +73,6 @@ class LmSection:
     ffn_dim: int = 256
     max_positions: int = 512
     dropout: float = 0.1
-    train_embeddings: bool = False
 
     def __post_init__(self):
         if self.num_heads < 1 or self.d_llm % self.num_heads != 0:

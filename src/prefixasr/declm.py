@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LmSection
+from .frontend import AudioError
 from .layers import (attention, causal_mask, init_bias, init_embedding,
                      init_ones, init_weight)
 from .numcore import Tensor, no_grad, ops, param
@@ -107,9 +108,6 @@ class DecoderLM:
         p["out.w"] = init_weight(rng, d, config.vocab_size)
         p["out.b"] = init_bias(config.vocab_size)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
-
     def lora_parameters(self) -> dict[str, Tensor]:
         out = {}
         for key, ad in self.adapters.items():
@@ -159,7 +157,7 @@ class DecoderLM:
         x = parts[0] if len(parts) == 1 else ops.concat(parts, axis=0)
         S = x.shape[0]
         if pos_offset + S > self.config.max_positions:
-            raise ValueError(
+            raise AudioError(
                 f"sequence overflow: audio={0 if audio_embeds is None else audio_embeds.shape[0]}"
                 f" + text={len(text_ids)} exceeds max_positions={self.config.max_positions}")
         return x + ops.narrow(self.params["pos"], 0, pos_offset, S)

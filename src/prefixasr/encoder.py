@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import EncoderSection
-from .frontend import FeatureMatrix, NUM_MELS
+from .frontend import NUM_MELS, AudioError, FeatureMatrix
 from .layers import (attention, init_bias, init_conv_weight,
                      init_depthwise_weight, init_embedding, init_ones,
                      init_weight)
@@ -69,11 +69,6 @@ class ConformerEncoder:
         p["ctc.w"] = init_weight(rng, d, config.ctc_vocab + 1)
         p["ctc.b"] = init_bias(config.ctc_vocab + 1)
 
-    def parameters(self, include_ctc_head: bool = True) -> dict[str, Tensor]:
-        if include_ctc_head:
-            return dict(self.params)
-        return {k: v for k, v in self.params.items() if not k.startswith("ctc.")}
-
     def output_lengths(self, lengths: Sequence[int]) -> list[int]:
         """Frames after the subsampler: ceil(T / subsample_stride) per item."""
         return [-(-t // self.config.subsample_stride) for t in lengths]
@@ -94,7 +89,7 @@ class ConformerEncoder:
         x = ops.linear(x, p["sub.proj.w"], p["sub.proj.b"])
         U = x.shape[-2]
         if U > self.config.max_frames:
-            raise ValueError(f"{U} frames exceed position table {self.config.max_frames}")
+            raise AudioError(f"{U} frames exceed position table {self.config.max_frames}")
         return x + ops.narrow(p["sub.pos"], 0, 0, U)
 
     def conformer_block(self, i: int, x: Tensor, lengths: Sequence[int] | None = None,

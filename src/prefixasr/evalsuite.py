@@ -145,8 +145,9 @@ class EvalReport:
 
 
 def eval_corpus(system, entries, max_decode_tokens: int | None = None) -> EvalReport:
-    """Greedy-decode every utterance. Unreadable audio, and a reference with
-    no words once normalized (WER is undefined), are recorded as skips."""
+    """Greedy-decode every utterance. Unreadable audio, audio too long for
+    the model's position tables, and a reference with no words once
+    normalized (WER is undefined) are recorded as skips."""
     stats: dict[str, LanguageStats] = {}
     skipped: list[dict] = []
     for e in entries:
@@ -157,10 +158,10 @@ def eval_corpus(system, entries, max_decode_tokens: int | None = None) -> EvalRe
         try:
             wav = frontend.load_audio(e.audio_path)
             feats = frontend.log_mel(wav, system.normalizer)
+            hyp = system.transcribe(feats, max_len=max_decode_tokens)
         except (frontend.AudioError, OSError) as exc:
             skipped.append({"audio_path": e.audio_path, "reason": str(exc)})
             continue
-        hyp = system.transcribe(feats, max_len=max_decode_tokens)
         r = wer(e.text, hyp)
         s = stats.setdefault(e.language, LanguageStats())
         s.utterances += 1

@@ -425,7 +425,8 @@ def unbind(a: Tensor) -> list[Tensor]:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x (..., d_in) @ w (d_in, d_out) + b as one tape node."""
+    """x (..., d_in) @ w (d_in, d_out) + b as one tape node; backward
+    returns gradients only for the inputs that need one."""
     d_in, d_out = w.data.shape
     out = x.data.reshape(-1, d_in) @ w.data
     if b is not None:
@@ -434,10 +435,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, d_out)
-        grads = [(w, x.data.reshape(-1, d_in).T @ g2)]
+        grads = []
+        if w.requires_grad:
+            grads.append((w, x.data.reshape(-1, d_in).T @ g2))
         if x.requires_grad:
             grads.append((x, (g2 @ w.data.T).reshape(x.data.shape)))
-        if b is not None:
+        if b is not None and b.requires_grad:
             grads.append((b, g2.sum(axis=0)))
         return grads
 

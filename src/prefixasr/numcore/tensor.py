@@ -75,9 +75,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -186,12 +183,8 @@ def make(data: np.ndarray, parents: Sequence[Tensor],
          backward: Callable[[np.ndarray], list] | None) -> Tensor:
     """Build an op result, recording the tape entry only when needed."""
     out = Tensor(data)
-    if _GRAD_ENABLED and backward is not None and any(_needs_grad(p) for p in parents):
+    if _GRAD_ENABLED and backward is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
     return out
-
-
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad

@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import ctc
 from .bridge import Bridge, StackConfig
 from .checkpoint import CheckpointError, ModelCheckpoint
 from .config import RunConfig, from_dict
@@ -34,24 +35,24 @@ class AsrSystem:
 
     # -- parameter groups -------------------------------------------------
 
-    def joint_trainable(self) -> dict:
-        """Encoder (CTC head dropped) + bridge + LoRA (+ LM embeddings if set)."""
+    def named_params(self) -> dict[str, Tensor]:
+        """Every model tensor by checkpoint name: encoder.*, bridge.*, lm.*
+        (the frozen LM base) and lora.* (the adapters)."""
         out = {}
-        out.update({"encoder." + k: v
-                    for k, v in self.encoder.parameters(include_ctc_head=False).items()})
-        out.update({"bridge." + k: v for k, v in self.bridge.parameters().items()})
-        out.update({"lora." + k: v for k, v in self.lm.lora_parameters().items()})
-        if self.cfg.lm.train_embeddings:
-            out["lm.tok"] = self.lm.params["tok"]
-            out["lm.pos"] = self.lm.params["pos"]
+        for prefix, params in (("encoder.", self.encoder.params),
+                               ("bridge.", self.bridge.params),
+                               ("lm.", self.lm.params),
+                               ("lora.", self.lm.lora_parameters())):
+            out.update({prefix + k: v for k, v in params.items()})
         return out
 
+    def joint_trainable(self) -> dict[str, Tensor]:
+        """Encoder without its CTC head, bridge and LoRA adapters."""
+        return {k: v for k, v in self.named_params().items()
+                if not k.startswith(("encoder.ctc.", "lm."))}
+
     def all_tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        out.update({"encoder." + k: v.data for k, v in self.encoder.params.items()})
-        out.update({"bridge." + k: v.data for k, v in self.bridge.params.items()})
-        out.update({"lm." + k: v.data for k, v in self.lm.params.items()})
-        out.update({"lora." + k: v.data for k, v in self.lm.lora_parameters().items()})
+        out = {k: v.data for k, v in self.named_params().items()}
         if self.normalizer is not None:
             out["frontend.mel_mean"] = self.normalizer.mean
             out["frontend.mel_std"] = self.normalizer.std
@@ -65,6 +66,13 @@ class AsrSystem:
         emb = self.encoder.forward(Tensor(features.frames.astype(dtype)),
                                    train=train, rng=rng)
         return self.bridge.forward(emb)
+
+    def ctc_losses(self, features: list[FeatureMatrix], texts: list[str],
+                   train: bool = False, rng=None) -> list[Tensor]:
+        """Stage-1 loss: one CTC loss per utterance of a padded batch."""
+        log_probs, lengths = self.encoder.encode_batch(features, train=train, rng=rng)
+        return ctc.ctc_losses(log_probs, lengths,
+                              [self.tokenizer.encode_ctc(t) for t in texts])
 
     def joint_loss(self, features: FeatureMatrix, text: str,
                    input_text_ids=None, train: bool = False, rng=None) -> Tensor:
@@ -91,21 +99,11 @@ class AsrSystem:
 
     def load_tensors(self, tensors: dict[str, np.ndarray],
                      require_all: bool = True) -> None:
-        groups = {
-            "encoder.": self.encoder.params,
-            "bridge.": self.bridge.params,
-            "lm.": self.lm.params,
-        }
-        lora = {"lora." + k: v for k, v in self.lm.lora_parameters().items()}
+        params = self.named_params()
         for name, arr in tensors.items():
             if name.startswith("frontend."):
                 continue
-            target = None
-            for prefix, store in groups.items():
-                if name.startswith(prefix):
-                    target = store.get(name[len(prefix):])
-            if name in lora:
-                target = lora[name]
+            target = params.get(name)
             if target is None:
                 raise CheckpointError(f"checkpoint tensor {name!r} has no home")
             if target.data.shape != arr.shape:
@@ -113,8 +111,7 @@ class AsrSystem:
                     f"{name}: shape {arr.shape} != model {target.data.shape}")
             target.data = arr.astype(target.data.dtype)
         if require_all:
-            missing = set(self.all_tensors()) - set(tensors)
-            missing -= {"frontend.mel_mean", "frontend.mel_std"}
+            missing = set(params) - set(tensors)
             if missing:
                 raise CheckpointError(f"checkpoint missing tensors {sorted(missing)}")
 

@@ -25,11 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import ctc, frontend
+from . import frontend
 from .checkpoint import (CheckpointError, ModelCheckpoint, load_checkpoint,
                          save_checkpoint)
 from .config import RunConfig, StageSection
-from .encoder import ConformerEncoder, EncoderConfig
 from .numcore import (AdamState, NonFiniteGradientError, Tensor, adam_step,
                       clip_grad_norm, no_grad, schedule_lr)
 from .numcore.rng import generator
@@ -172,15 +171,16 @@ class StageSpec:
     """What differs between the two training stages."""
     name: str
     section: StageSection
-    tokenizer: CharTokenizer
-    normalizer: frontend.FeatureNormalizer | None
-    params: dict[str, Tensor]
+    system: AsrSystem
+    params: dict[str, Tensor]  # what trains; every other system tensor is frozen
     # (features, transcripts, train, rng) -> one scalar loss per utterance
     batch_loss: Callable[[list[frontend.FeatureMatrix], list[str], bool,
                           np.random.Generator | None], list[Tensor]]
-    # the model tensors that checkpoints hold, and their inverse on resume
-    model_tensors: Callable[[], dict[str, np.ndarray]]
-    load_tensors: Callable[[dict[str, np.ndarray]], None]
+    keep: tuple[str, ...]  # prefixes of the system tensors its checkpoints hold
+
+    def model_tensors(self) -> dict[str, np.ndarray]:
+        return {k: v for k, v in self.system.all_tensors().items()
+                if k.startswith(self.keep)}
 
 
 @dataclass
@@ -244,9 +244,12 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
     hours = hours_by_language(train_utts)
     valid_chunks = _chunk_by_duration(valid_utts, tcfg.batch_seconds)
     spec: StageSpec = make_spec(train_utts)
+    system = spec.system
+    for name, t in system.named_params().items():
+        t.requires_grad = name in spec.params
 
     def batch_loss(batch: list[PreparedUtterance], train: bool, rng=None):
-        return spec.batch_loss([u.features(spec.normalizer) for u in batch],
+        return spec.batch_loss([u.features(system.normalizer) for u in batch],
                                [u.entry.text for u in batch], train, rng)
 
     names = sorted(spec.params)
@@ -272,8 +275,8 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
             adam.m[i][...] = saved.tensors["adam.m." + n]
             adam.v[i][...] = saved.tensors["adam.v." + n]
         best = saved.namespace("best.") or None
-        spec.load_tensors({k: v for k, v in saved.tensors.items()
-                           if not k.startswith(("adam.", "best."))})
+        system.load_tensors({k: v for k, v in saved.tensors.items()
+                             if not k.startswith(("adam.", "best."))}, require_all=False)
 
     def save_state():
         state.adam_step = adam.step
@@ -284,7 +287,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
         tensors.update({"best." + k: v for k, v in (best or {}).items()})
         save_checkpoint(state_path, ModelCheckpoint(
             config=cfg.to_dict(), tensors=tensors,
-            metadata={"tokenizer": spec.tokenizer.to_dict(), "train_state": asdict(state)}))
+            metadata={"tokenizer": system.tokenizer.to_dict(), "train_state": asdict(state)}))
 
     diverged = False
     max_steps = spec.section.max_steps
@@ -340,7 +343,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
 
     _write_log(out_dir, state.log)
     ckpt = ModelCheckpoint(config=cfg.to_dict(), tensors=best,
-                           metadata={"tokenizer": spec.tokenizer.to_dict(),
+                           metadata={"tokenizer": system.tokenizer.to_dict(),
                                      "stage": spec.name})
     return TrainResult(checkpoint=ckpt, log=state.log, best_valid=state.best_valid,
                        steps=state.step, infeasible_skipped=state.infeasible,
@@ -357,31 +360,11 @@ def pretrain_encoder(entries: list[ManifestEntry], cfg: RunConfig,
         normalizer = None
         if cfg.frontend.normalize:
             normalizer = frontend.FeatureNormalizer.fit([u.raw_frames for u in train_utts])
-        encoder = ConformerEncoder(EncoderConfig(
-            **asdict(cfg.encoder), ctc_vocab=tokenizer.ctc_vocab_size),
-            seed=cfg.training.seed)
-
-        def batch_loss(feats, texts, train, rng):
-            log_probs, lengths = encoder.encode_batch(feats, train=train, rng=rng)
-            return ctc.ctc_losses(log_probs, lengths,
-                                  [tokenizer.encode_ctc(t) for t in texts])
-
-        def model_tensors():
-            out = {"encoder." + k: v.data for k, v in encoder.params.items()}
-            if normalizer is not None:
-                out["frontend.mel_mean"] = normalizer.mean
-                out["frontend.mel_std"] = normalizer.std
-            return out
-
-        def load_tensors(tensors):
-            for k, v in tensors.items():
-                if k.startswith("encoder."):
-                    p = encoder.params[k[len("encoder."):]]
-                    p.data = v.astype(p.data.dtype)
-
-        return StageSpec("ctc_pretrain", cfg.training.pretrain, tokenizer, normalizer,
-                         {"encoder." + k: v for k, v in encoder.params.items()},
-                         batch_loss, model_tensors, load_tensors)
+        system = AsrSystem(cfg, tokenizer, normalizer, seed=cfg.training.seed)
+        params = {k: v for k, v in system.named_params().items()
+                  if k.startswith("encoder.")}
+        return StageSpec("ctc_pretrain", cfg.training.pretrain, system, params,
+                         system.ctc_losses, ("encoder.", "frontend."))
 
     return _run_stage(entries, cfg, make_spec, out_dir, state_path, resume, stop_fn)
 
@@ -405,8 +388,7 @@ def train_joint(entries: list[ManifestEntry], cfg: RunConfig,
         def batch_loss(feats, texts, train, rng):
             return [utt_loss(f, t, train, rng) for f, t in zip(feats, texts)]
 
-        return StageSpec("joint", tcfg.joint, system.tokenizer, system.normalizer,
-                         system.joint_trainable(), batch_loss, system.all_tensors,
-                         lambda tensors: system.load_tensors(tensors, require_all=False))
+        return StageSpec("joint", tcfg.joint, system, system.joint_trainable(),
+                         batch_loss, ("",))  # "" keeps every tensor
 
     return _run_stage(entries, cfg, make_spec, out_dir, state_path, resume, stop_fn)

@@ -70,7 +70,7 @@ class TestProject:
             cfg = StackConfig(n=3, d_encoder=4, d_llm=6)
             b = Bridge(cfg, seed=1)
             x = nc.param(np.random.default_rng(3).standard_normal((7, 4)))
-            params = {"x": x, **b.parameters()}
+            params = {"x": x, **b.params}
             report = nc.grad_check(lambda: b.forward(x).mean(), params)
             assert report.max_rel_error < 1e-5
 

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FAST_OVERRIDES
+from conftest import FAST_OVERRIDES, fast_config
 from prefixasr import cli
-from prefixasr.checkpoint import file_digest, load_checkpoint
+from prefixasr.checkpoint import file_digest, load_checkpoint, save_checkpoint
+from prefixasr.system import AsrSystem
+from prefixasr.tokenizer import CharTokenizer
 
 
 def run(*argv):
@@ -138,6 +140,16 @@ def test_inspect_ckpt(trained, capsys):
     printed = capsys.readouterr().out
     assert "config digest:" in printed
     assert "total parameters:" in printed
+
+
+@pytest.mark.parametrize("override", ["encoder.max_frames=8", "lm.max_positions=4"])
+def test_audio_past_position_table_exit_3(override, toy_corpus, tmp_path):
+    _, entries = toy_corpus
+    system = AsrSystem(fast_config([override]),
+                       CharTokenizer.from_texts([e.text for e in entries]))
+    save_checkpoint(tmp_path / "model.ckpt", system.to_checkpoint())
+    assert run("transcribe", "--ckpt", str(tmp_path / "model.ckpt"),
+               entries[0].audio_path) == cli.EXIT_BAD_DATA
 
 
 def test_missing_manifest_exit_2(fast_cfg_file, tmp_path):

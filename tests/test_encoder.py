@@ -115,12 +115,6 @@ class TestEncode:
         sub = enc.subsample(Tensor(f.frames))
         assert np.allclose(emb.data, sub.data, atol=1e-6)
 
-    def test_ctc_head_excluded_when_requested(self):
-        enc = ConformerEncoder(tiny_config(), seed=12)
-        with_head = enc.parameters(include_ctc_head=True)
-        without = enc.parameters(include_ctc_head=False)
-        assert set(with_head) - set(without) == {"ctc.w", "ctc.b"}
-
 
 class TestBatched:
     def test_attention_gradient_with_key_padding(self):

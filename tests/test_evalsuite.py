@@ -186,6 +186,21 @@ def test_eval_corpus_skips_empty_reference(toy_corpus):
     assert counted == len(entries)
 
 
+def test_eval_corpus_skips_audio_past_position_table(toy_corpus):
+    _, entries = toy_corpus
+    # 12 encoder positions hold 96 log-mel frames, a little under 1 s of audio
+    cfg = fast_config(["encoder.max_frames=12"])
+    system = AsrSystem(cfg, CharTokenizer.from_texts([e.text for e in entries]))
+    report = eval_corpus(system, entries, max_decode_tokens=3)
+    long = [e.audio_path for e in entries
+            if frontend.load_audio(e.audio_path).duration > 1.0]
+    assert 0 < len(long) < len(entries)
+    assert [s["audio_path"] for s in report.skipped] == long
+    assert all("position table" in s["reason"] for s in report.skipped)
+    counted = sum(s.utterances for s in report.per_language.values())
+    assert counted == len(entries) - len(long)
+
+
 # -- alignment ---------------------------------------------------------------
 
 def test_cosine_matrix_basic():

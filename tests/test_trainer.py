@@ -165,8 +165,10 @@ def test_pretrain_checkpoint_contents(pretrain_result):
     ckpt = result.checkpoint
     assert ckpt.metadata["stage"] == "ctc_pretrain"
     assert "tokenizer" in ckpt.metadata
-    assert any(k.startswith("encoder.") for k in ckpt.tensors)
-    assert "frontend.mel_mean" in ckpt.tensors
+    # encoder and feature statistics only: no bridge, LM or adapter tensors
+    system = AsrSystem.from_encoder_checkpoint(fast_config(), ckpt)
+    assert set(ckpt.tensors) == ({"encoder." + k for k in system.encoder.params}
+                                 | {"frontend.mel_mean", "frontend.mel_std"})
 
 
 def test_pretrain_is_deterministic(toy_corpus, pretrain_result):
@@ -207,6 +209,26 @@ def test_joint_resume_matches_uninterrupted(pretrain_result, tmp_path):
     for name, arr in full.checkpoint.tensors.items():
         np.testing.assert_array_equal(resumed.checkpoint.tensors[name], arr,
                                       err_msg=name)
+
+
+def test_joint_step_gives_frozen_tensors_no_grad(pretrain_result, monkeypatch):
+    systems = []
+    joint_loss = AsrSystem.joint_loss
+
+    def recording_joint_loss(self, *args, **kwargs):
+        systems.append(self)
+        return joint_loss(self, *args, **kwargs)
+
+    monkeypatch.setattr(AsrSystem, "joint_loss", recording_joint_loss)
+    result, entries = pretrain_result
+    trainer.train_joint(entries, fast_config(["training.joint.max_steps=1"]),
+                        result.checkpoint)
+    system = systems[0]
+    frozen = {"lm." + k: t for k, t in system.lm.params.items()}
+    frozen.update({"encoder." + k: t for k, t in system.encoder.params.items()
+                   if k.startswith("ctc.")})
+    assert [name for name, t in frozen.items() if t.grad is not None] == []
+    assert [name for name, t in system.joint_trainable().items() if t.grad is None] == []
 
 
 def test_joint_early_stops_on_plateau(pretrain_result):
