@@ -16,6 +16,7 @@ from . import evalsuite, frontend, trainer
 from .checkpoint import (CheckpointError, config_digest, file_digest,
                          load_checkpoint, save_checkpoint)
 from .config import ConfigError, load_config
+from .declm import LORA_TARGETS
 from .system import AsrSystem
 
 log = logging.getLogger("prefixasr")
@@ -64,7 +65,7 @@ def _log_model_summary(cfg):
     rate_ms = 10.0 * cfg.encoder.subsample_stride * cfg.bridge.stack_n
     log.info("audio embedding rate: %.0f ms per embedding", rate_ms)
     d = cfg.lm.d_llm
-    lora_params = cfg.lora.rank * (d + d) * 4 * cfg.lm.num_layers
+    lora_params = cfg.lora.rank * (d + d) * len(LORA_TARGETS) * cfg.lm.num_layers
     log.info("trainable LM parameters (adapters): %d", lora_params)
 
 

@@ -9,6 +9,7 @@ config digest.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +30,18 @@ LM_PRESETS = {
 }
 
 
+def _check_min(section, low: int, *names: str) -> None:
+    for name in names:
+        if getattr(section, name) < low:
+            raise ConfigError(f"{name} must be >= {low}")
+
+
+def _check_fraction(section, *names: str) -> None:
+    for name in names:
+        if not 0.0 <= getattr(section, name) < 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1)")
+
+
 @dataclass
 class FrontendSection:
     normalize: bool = True
@@ -47,6 +60,10 @@ class EncoderSection:
     dropout: float = 0.1
 
     def __post_init__(self):
+        _check_min(self, 1, "d_model", "ffn_dim", "conv_kernel", "subsample_channels",
+                   "max_frames")
+        _check_min(self, 0, "num_layers")
+        _check_fraction(self, "dropout")
         if self.num_heads < 1 or self.d_model % self.num_heads != 0:
             raise ConfigError("num_heads must be positive and divide d_model")
         if self.conv_kernel % 2 != 1:
@@ -60,8 +77,7 @@ class BridgeSection:
     stack_n: int = 3
 
     def __post_init__(self):
-        if self.stack_n < 1:
-            raise ConfigError("stack_n must be >= 1")
+        _check_min(self, 1, "stack_n")
 
 
 @dataclass
@@ -75,6 +91,9 @@ class LmSection:
     dropout: float = 0.1
 
     def __post_init__(self):
+        _check_min(self, 1, "d_llm", "ffn_dim", "max_positions")
+        _check_min(self, 0, "num_layers")
+        _check_fraction(self, "dropout")
         if self.num_heads < 1 or self.d_llm % self.num_heads != 0:
             raise ConfigError("num_heads must be positive and divide d_llm")
 
@@ -85,8 +104,7 @@ class LoraSection:
     alpha: float = 16.0
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ConfigError("rank must be >= 0")
+        _check_min(self, 0, "rank")
 
 
 @dataclass
@@ -123,6 +141,7 @@ class TrainingSection:
     def __post_init__(self):
         if not 0.0 <= self.mask_fraction <= 1.0:
             raise ConfigError("mask_fraction must lie in [0, 1]")
+        _check_fraction(self, "valid_fraction")
         if self.batch_seconds <= 0:
             raise ConfigError("batch_seconds must be positive")
         if self.eval_interval < 1:
@@ -149,9 +168,11 @@ class RunConfig:
 
 
 def _check_scalar(value, hint, path: str):
-    """A bool is not an int; an int is accepted where a float is expected."""
+    """A bool is not an int; an int is accepted where a float is expected;
+    inf and nan are not numbers here."""
     accepted = (int, float) if hint is float else hint
-    if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
+    if (isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted)
+            or (isinstance(value, float) and not math.isfinite(value))):
         raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
 
 

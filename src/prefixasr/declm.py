@@ -35,53 +35,17 @@ class LmConfig(LmSection):
     eos_id: int = EOS
 
 
-@dataclass
-class LoraAdapter:
-    """Low-rank delta (alpha/rank) * up @ down; rank 0 means absent."""
-    rank: int
-    alpha: float
-    down: Tensor | None = None  # (d_in, rank)
-    up: Tensor | None = None    # (rank, d_out)
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, d_in: int, d_out: int,
-               rank: int, alpha: float) -> "LoraAdapter":
-        if rank == 0:
-            return cls(rank=0, alpha=alpha)
-        down = init_weight(rng, d_in, rank)
-        # zero-init up so the delta starts at exactly zero
-        up = param(np.zeros((rank, d_out)))
-        return cls(rank=rank, alpha=alpha, down=down, up=up)
-
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.rank if self.rank else 0.0
-
-    def delta(self) -> np.ndarray:
-        return self.scale * (self.down.data @ self.up.data)
-
-
-def lora_linear(x: Tensor, w: Tensor, b: Tensor | None,
-                adapter: LoraAdapter | None) -> Tensor:
-    y = ops.linear(x, w, b)
-    if adapter is not None and adapter.rank > 0:
-        y = y + ((x @ adapter.down) @ adapter.up) * adapter.scale
-    return y
-
-
-def merge_lora(w: Tensor, adapter: LoraAdapter) -> Tensor:
-    """Fold the adapter into the base weight; no-op at rank 0."""
-    if adapter is None or adapter.rank == 0:
-        return Tensor(w.data.copy())
-    return Tensor(w.data + adapter.delta().astype(w.data.dtype))
-
-
 class DecoderLM:
+    """The LM base lives in `params`. The LoRA adapters live in `lora`, keyed
+    `block{i}.{wq,wk,wv,wo}.down` (d, rank) and `.up` (rank, d); the map is
+    empty at rank 0. Each adapted projection adds lora_scale * x @ down @ up."""
+
     def __init__(self, config: LmConfig, seed: int = 0,
                  lora_rank: int = 0, lora_alpha: float = 16.0):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        self.adapters: dict[str, LoraAdapter] = {}
+        self.lora: dict[str, Tensor] = {}
+        self.lora_scale = lora_alpha / lora_rank if lora_rank else 0.0
         rng = generator(seed, "lm")
         lora_rng = generator(seed, "lora")
         d, f = config.d_llm, config.ffn_dim
@@ -95,8 +59,10 @@ class DecoderLM:
             for name in LORA_TARGETS:
                 p[pre + name] = init_weight(rng, d, d)
                 p[pre + name + ".b"] = init_bias(d)
-                self.adapters[pre + name] = LoraAdapter.create(
-                    lora_rng, d, d, lora_rank, lora_alpha)
+                if lora_rank:
+                    self.lora[pre + name + ".down"] = init_weight(lora_rng, d, lora_rank)
+                    # zero-init up so the delta starts at exactly zero
+                    self.lora[pre + name + ".up"] = param(np.zeros((lora_rank, d)))
             p[pre + "ln2.g"] = init_ones(d)
             p[pre + "ln2.b"] = init_bias(d)
             p[pre + "ffn1.w"] = init_weight(rng, d, f)
@@ -109,12 +75,15 @@ class DecoderLM:
         p["out.b"] = init_bias(config.vocab_size)
 
     def lora_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for key, ad in self.adapters.items():
-            if ad.rank > 0:
-                out[key + ".down"] = ad.down
-                out[key + ".up"] = ad.up
-        return out
+        return self.lora
+
+    def _proj(self, x: Tensor, name: str) -> Tensor:
+        """The projection `name` of x, plus its adapter's delta if it has one."""
+        y = ops.linear(x, self.params[name], self.params[name + ".b"])
+        if self.lora:
+            down, up = self.lora[name + ".down"], self.lora[name + ".up"]
+            y = y + ((x @ down) @ up) * self.lora_scale
+        return y
 
     def _block(self, i: int, x: Tensor, mask: np.ndarray | None,
                cache: dict | None = None, train: bool = False,
@@ -123,9 +92,7 @@ class DecoderLM:
         pre = f"block{i}."
         drop = self.config.dropout if train else 0.0
         h = ops.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = lora_linear(h, p[pre + "wq"], p[pre + "wq.b"], self.adapters[pre + "wq"])
-        k = lora_linear(h, p[pre + "wk"], p[pre + "wk.b"], self.adapters[pre + "wk"])
-        v = lora_linear(h, p[pre + "wv"], p[pre + "wv.b"], self.adapters[pre + "wv"])
+        q, k, v = (self._proj(h, pre + name) for name in ("wq", "wk", "wv"))
         if cache is not None:
             ck, cv = cache.get(i, (None, None))
             kd = k.data if ck is None else np.concatenate([ck, k.data], axis=0)
@@ -137,13 +104,22 @@ class DecoderLM:
             keep = ops.dropout_mask((self.config.num_heads, q.shape[0], k.shape[0]),
                                     drop, rng, q.data.dtype)
         att = attention(q, k, v, self.config.num_heads, mask=mask, keep=keep)
-        x = x + lora_linear(att, p[pre + "wo"], p[pre + "wo.b"], self.adapters[pre + "wo"])
+        x = x + self._proj(att, pre + "wo")
         h = ops.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
         h = ops.swish(ops.linear(h, p[pre + "ffn1.w"], p[pre + "ffn1.b"]))
         if drop > 0.0 and rng is not None:
             h = ops.dropout(h, drop, rng)
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
+
+    def _logits(self, x: Tensor, mask: np.ndarray | None, cache: dict | None = None,
+                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        """Per-position logits of the embedded sequence x (layers, final norm,
+        output projection). With a cache, x extends the cached keys/values."""
+        for i in range(self.config.num_layers):
+            x = self._block(i, x, mask, cache, train, rng)
+        x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
+        return ops.linear(x, self.params["out.w"], self.params["out.b"])
 
     def _embed(self, audio_embeds: Tensor | None, text_ids,
                pos_offset: int = 0) -> Tensor:
@@ -167,11 +143,8 @@ class DecoderLM:
                       rng: np.random.Generator | None = None) -> Tensor:
         """Per-position logits for [audio || text] under a causal mask."""
         x = self._embed(audio_embeds, text_ids)
-        mask = causal_mask(x.shape[0], dtype=x.data.dtype)
-        for i in range(self.config.num_layers):
-            x = self._block(i, x, mask, train=train, rng=rng)
-        x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
-        return ops.linear(x, self.params["out.w"], self.params["out.b"])
+        return self._logits(x, causal_mask(x.shape[0], dtype=x.data.dtype),
+                            train=train, rng=rng)
 
     def loss_mixed(self, audio_embeds: Tensor | None, text_tokens,
                    train: bool = False, rng: np.random.Generator | None = None,
@@ -195,40 +168,32 @@ class DecoderLM:
 
     def greedy_decode(self, audio_embeds: Tensor | None,
                       max_len: int = MAX_DECODE_TOKENS) -> list[int]:
-        """Deterministic argmax decoding with an incremental KV cache."""
+        """Deterministic argmax decoding with an incremental KV cache: the
+        first step runs [audio || bos] under a causal mask, each later step
+        runs the last token alone. Stops at max_len tokens, at eos, or when
+        the position table is full."""
         cfg = self.config
         with no_grad():
             cache: dict = {}
-            prefix = [cfg.bos_id]
-            x = self._embed(audio_embeds, prefix)
-            S = x.shape[0]
-            mask = causal_mask(S, dtype=x.data.dtype)
-            for i in range(cfg.num_layers):
-                x = self._block(i, x, mask, cache=cache)
-            x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
-            logits = ops.linear(x, self.params["out.w"], self.params["out.b"])
+            x = self._embed(audio_embeds, [cfg.bos_id])
+            pos = x.shape[0]
+            mask = causal_mask(pos, dtype=x.data.dtype)
             out: list[int] = []
-            pos = S
-            next_id = int(logits.data[-1].argmax())
-            while len(out) < max_len:
-                if next_id == cfg.eos_id:
-                    break
+            while True:
+                next_id = int(self._logits(x, mask, cache).data[-1].argmax())
+                if len(out) >= max_len or next_id == cfg.eos_id:
+                    return out
                 out.append(next_id)
                 if pos >= cfg.max_positions - 1:
-                    break  # position table exhausted
-                x = self._embed(None, [next_id], pos_offset=pos)
-                for i in range(cfg.num_layers):
-                    x = self._block(i, x, None, cache=cache)
-                x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
-                logits = ops.linear(x, self.params["out.w"], self.params["out.b"])
-                next_id = int(logits.data[-1].argmax())
+                    return out
+                x, mask = self._embed(None, [next_id], pos_offset=pos), None
                 pos += 1
-            return out
 
     def merged_params(self) -> dict[str, Tensor]:
         """Base weights with every adapter folded in; adapter-free forward."""
         out = {}
         for name, w in self.params.items():
-            ad = self.adapters.get(name)
-            out[name] = merge_lora(w, ad) if ad is not None else Tensor(w.data.copy())
+            down, up = self.lora.get(name + ".down"), self.lora.get(name + ".up")
+            out[name] = Tensor(w.data.copy() if down is None else w.data + (
+                self.lora_scale * (down.data @ up.data)).astype(w.data.dtype))
         return out

@@ -44,7 +44,7 @@ class ConformerEncoder:
         for i in range(num_sub):
             p[f"sub.conv{i}.w"] = init_conv_weight(rng, 3, dims[i], dims[i + 1])
             p[f"sub.conv{i}.b"] = init_bias(dims[i + 1])
-        p["sub.proj.w"] = init_weight(rng, c, config.d_model)
+        p["sub.proj.w"] = init_weight(rng, dims[-1], config.d_model)
         p["sub.proj.b"] = init_bias(config.d_model)
         p["sub.pos"] = init_embedding(rng, config.max_frames, config.d_model)
         d, f, k = config.d_model, config.ffn_dim, config.conv_kernel

@@ -267,9 +267,12 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
         if changed:
             raise CheckpointError(f"{state_path}: the saved state has a different "
                                   f"{', '.join(changed)} config than this run")
+        if "train_state" not in saved.metadata:
+            raise CheckpointError(f"{state_path}: not a training state file")
         state = _TrainState(**saved.metadata["train_state"])
         if state.stage != spec.name:
-            raise ValueError(f"state is for stage {state.stage!r}, not {spec.name!r}")
+            raise CheckpointError(f"{state_path}: the state is for stage "
+                                  f"{state.stage!r}, not {spec.name!r}")
         adam.step = state.adam_step
         for i, n in enumerate(names):
             adam.m[i][...] = saved.tensors["adam.m." + n]

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -175,6 +176,15 @@ def test_bad_config_override_exit_2(toy_corpus, tmp_path):
     "training.eval_interval=0",
     "encoder.d_model=abc",
     "lora.rank=-1",
+    "training.valid_fraction=1.0",
+    "training.valid_fraction=-0.5",
+    "encoder.d_model=0",
+    "encoder.num_layers=-1",
+    "encoder.conv_kernel=-1",
+    "encoder.dropout=1.0",
+    "lm.dropout=-0.5",
+    "training.batch_seconds=.inf",
+    "training.batch_seconds=.nan",
 ])
 def test_bad_config_value_exit_2(override, toy_corpus, tmp_path):
     manifest, _ = toy_corpus
@@ -217,6 +227,15 @@ def test_resume_with_other_model_config_exit_3(toy_corpus, fast_cfg_file, tmp_pa
     assert run("pretrain", "--config", fast_cfg_file, "--set", "encoder.d_model=32",
                "--manifest", str(manifest), "--out-dir", str(tmp_path),
                "--resume") == cli.EXIT_BAD_DATA
+
+
+@pytest.mark.parametrize("source", ["encoder.ckpt", "train_state.ckpt"])
+def test_resume_over_wrong_kind_of_state_file_exit_3(source, trained, fast_cfg_file,
+                                                      tmp_path):
+    out, manifest = trained
+    shutil.copy(out / source, tmp_path / "pretrain_state.ckpt")
+    assert run("pretrain", "--config", fast_cfg_file, "--manifest", str(manifest),
+               "--out-dir", str(tmp_path), "--resume") == cli.EXIT_BAD_DATA
 
 
 def test_no_normalizer_when_normalization_is_off(toy_corpus, fast_cfg_file, tmp_path):

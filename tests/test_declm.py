@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from prefixasr import numcore as nc
-from prefixasr.declm import (DecoderLM, LmConfig, LoraAdapter, lora_linear,
-                             merge_lora)
+from prefixasr.declm import DecoderLM, LmConfig
 from prefixasr.numcore import Tensor, generator, ops
 
 
@@ -17,63 +16,73 @@ def audio(rng, M, d=16):
     return Tensor(rng.standard_normal((M, d)).astype(np.float32))
 
 
+def adapted_lm(seed, up_scale=None):
+    """A rank-4 tiny LM; with up_scale, every `up` gets random weights."""
+    lm = tiny_lm(rank=4, seed=seed)
+    if up_scale is not None:
+        rng = generator(seed, "up")
+        for name, t in lm.lora.items():
+            if name.endswith(".up"):
+                t.data[:] = up_scale * rng.standard_normal(t.shape).astype(t.data.dtype)
+    return lm
+
+
+def inputs(seed, rows, d=16):
+    return Tensor(generator(seed, "x").standard_normal((rows, d)).astype(np.float32))
+
+
 class TestLoraLinear:
     def test_fresh_adapter_is_identity(self):
-        rng = generator(0, "t")
-        w = Tensor(rng.standard_normal((8, 8)).astype(np.float32))
-        b = Tensor(np.zeros(8, dtype=np.float32))
-        ad = LoraAdapter.create(rng, 8, 8, rank=4, alpha=16)
-        x = Tensor(rng.standard_normal((3, 8)).astype(np.float32))
-        base = ops.linear(x, w, b)
-        with_ad = lora_linear(x, w, b, ad)
-        assert np.array_equal(base.data, with_ad.data)
+        lm = adapted_lm(0)
+        x = inputs(0, 3)
+        p = lm.params
+        for name in ("block0.wq", "block1.wo"):
+            base = ops.linear(x, p[name], p[name + ".b"])
+            assert np.array_equal(lm._proj(x, name).data, base.data)
 
     def test_rank_zero_equals_base(self):
-        rng = generator(1, "t")
-        w = Tensor(rng.standard_normal((8, 8)).astype(np.float32))
-        ad = LoraAdapter.create(rng, 8, 8, rank=0, alpha=16)
-        x = Tensor(rng.standard_normal((3, 8)).astype(np.float32))
-        assert np.array_equal(lora_linear(x, w, None, ad).data,
-                              ops.linear(x, w, None).data)
-        assert ad.down is None and ad.up is None
+        lm = tiny_lm(rank=0, seed=1)
+        x = inputs(1, 3)
+        p = lm.params
+        assert lm.lora == {}
+        assert np.array_equal(lm._proj(x, "block0.wv").data,
+                              ops.linear(x, p["block0.wv"], p["block0.wv.b"]).data)
 
     def test_matches_dense_computation(self):
-        rng = generator(2, "t")
-        w = Tensor(rng.standard_normal((8, 6)).astype(np.float32))
-        ad = LoraAdapter.create(rng, 8, 6, rank=3, alpha=16)
-        ad.up.data[:] = rng.standard_normal((3, 6)).astype(np.float32)
-        x = Tensor(rng.standard_normal((5, 8)).astype(np.float32))
-        got = lora_linear(x, w, None, ad)
-        dense = w.data + (16 / 3) * (ad.down.data @ ad.up.data)
-        assert np.allclose(got.data, x.data @ dense, atol=1e-5)
+        lm = adapted_lm(2, up_scale=1.0)
+        x = inputs(2, 5)
+        name = "block1.wk"
+        w, b = lm.params[name].data, lm.params[name + ".b"].data
+        down, up = lm.lora[name + ".down"].data, lm.lora[name + ".up"].data
+        dense = w + (16 / 4) * (down @ up)
+        assert np.allclose(lm._proj(x, name).data, x.data @ dense + b, atol=1e-5)
 
 
 class TestMergeLora:
     def test_zero_up_merge_is_noop(self):
-        rng = generator(3, "t")
-        w = Tensor(rng.standard_normal((8, 8)).astype(np.float32))
-        ad = LoraAdapter.create(rng, 8, 8, rank=4, alpha=16)
-        assert np.array_equal(merge_lora(w, ad).data, w.data)
+        lm = adapted_lm(3)
+        merged = lm.merged_params()
+        assert merged.keys() == lm.params.keys()
+        for name, w in lm.params.items():
+            assert np.array_equal(merged[name].data, w.data), name
 
     def test_merged_equals_unmerged_on_100_inputs(self):
-        rng = generator(4, "t")
-        w = Tensor(rng.standard_normal((8, 8)).astype(np.float32))
-        ad = LoraAdapter.create(rng, 8, 8, rank=4, alpha=16)
-        ad.up.data[:] = 0.3 * rng.standard_normal((4, 8)).astype(np.float32)
-        merged = merge_lora(w, ad)
-        for _ in range(100):
-            x = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-            a = lora_linear(x, w, None, ad).data
-            b = ops.linear(x, merged, None).data
-            assert np.allclose(a, b, atol=1e-5)
+        lm = adapted_lm(4, up_scale=0.3)
+        merged = lm.merged_params()
+        for i in range(100):
+            x = inputs(100 + i, 2)
+            for name in ("block0.wq", "block0.wk", "block1.wv", "block1.wo"):
+                a = lm._proj(x, name).data
+                b = ops.linear(x, merged[name], merged[name + ".b"]).data
+                assert np.allclose(a, b, atol=1e-5), name
 
     def test_delta_rank_bounded(self):
-        rng = generator(5, "t")
-        w = Tensor(rng.standard_normal((16, 16)).astype(np.float32))
-        ad = LoraAdapter.create(rng, 16, 16, rank=2, alpha=16)
-        ad.up.data[:] = rng.standard_normal((2, 16)).astype(np.float32)
-        delta = merge_lora(w, ad).data - w.data
-        assert np.linalg.matrix_rank(delta, tol=1e-4) <= 2
+        lm = adapted_lm(5, up_scale=1.0)
+        merged = lm.merged_params()
+        for name in ("block0.wq", "block1.wo"):
+            delta = merged[name].data - lm.params[name].data
+            assert np.any(delta != 0.0)
+            assert np.linalg.matrix_rank(delta, tol=1e-4) <= 4
 
 
 class TestForwardMixed:
@@ -141,8 +150,13 @@ class TestGreedyDecode:
         lm = tiny_lm(seed=4)
         lm.params["out.b"].data[lm.config.eos_id] = -1e9  # eos unreachable
         rng = np.random.default_rng(5)
-        out = lm.greedy_decode(audio(rng, 2), max_len=200)
-        assert len(out) <= 200
+        for M in (2, 5):
+            a = audio(rng, M)
+            # [audio || bos] fills M + 1 positions; each token but the last
+            # takes one more, and the table holds max_positions = 64
+            assert len(lm.greedy_decode(a, max_len=200)) == 64 - M - 1
+            assert len(lm.greedy_decode(a, max_len=7)) == 7
+            assert lm.greedy_decode(a, max_len=0) == []
 
     def test_repeated_decodes_identical(self):
         lm = tiny_lm(seed=5, rank=2)

@@ -45,6 +45,15 @@ class TestSubsample:
         x = Tensor(np.random.default_rng(0).standard_normal((T, 80)).astype(np.float32))
         assert enc.subsample(x).shape == (U, 16)
 
+    def test_stride_one_keeps_every_frame(self):
+        rng = np.random.default_rng(0)
+        enc = ConformerEncoder(tiny_config(subsample_stride=1), seed=1)
+        assert enc.params["sub.proj.w"].shape == (80, 16)
+        emb, logp = enc.encode(feats(rng, 10))
+        assert emb.shape == (10, 16) and logp.shape == (10, 6)
+        logp, lengths = enc.encode_batch([feats(rng, 10), feats(rng, 7)])
+        assert logp.shape == (2, 10, 6) and lengths == [10, 7]
+
     def test_constant_input_gives_identical_frames(self):
         enc = ConformerEncoder(tiny_config(), seed=1)
         x = Tensor(np.ones((8, 80), dtype=np.float32))
