@@ -105,8 +105,12 @@ class _Reader:
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    """Parse a checkpoint; any malformed or truncated file is a CheckpointError."""
-    r = _Reader(Path(path).read_bytes(), path)
+    """Parse a checkpoint; any unreadable, malformed or truncated file is a
+    CheckpointError."""
+    try:
+        r = _Reader(Path(path).read_bytes(), path)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
     try:
         magic, version = r.unpack("<4sI")
     except CheckpointError as exc:

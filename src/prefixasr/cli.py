@@ -32,32 +32,24 @@ class InputError(ValueError):
 
 
 def _load_run_config(args):
-    if args.config is not None and not Path(args.config).exists():
-        raise InputError(f"config not found: {args.config}")
     cfg = load_config(args.config, args.set)
     if getattr(args, "seed", None) is not None:
         cfg.training.seed = args.seed
     return cfg
 
 
-def _read_manifest(args):
-    if not Path(args.manifest).exists():
-        raise InputError(f"manifest not found: {args.manifest}")
-    try:
-        return trainer.read_manifest(args.manifest)
-    except trainer.ManifestError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _load_ckpt(path):
-    if not Path(path).exists():
-        raise InputError(f"checkpoint not found: {path}")
+    if not Path(path).is_file():
+        raise InputError(f"checkpoint not found (or not a file): {path}")
     return load_checkpoint(path)
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create --out-dir {out}: {exc}") from exc
     return out
 
 
@@ -71,7 +63,7 @@ def _log_model_summary(cfg):
 
 def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args)
-    entries = _read_manifest(args)
+    entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
     state_path = out / "pretrain_state.ckpt"
     result = trainer.pretrain_encoder(entries, cfg, out_dir=out,
@@ -92,7 +84,7 @@ def cmd_train(args) -> int:
         raise CheckpointError(
             f"{args.ckpt}: config digest mismatch — the encoder checkpoint was "
             "trained under a different configuration")
-    entries = _read_manifest(args)
+    entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
     _log_model_summary(cfg)
     state_path = out / "train_state.ckpt"
@@ -124,9 +116,9 @@ def cmd_eval(args) -> int:
         if config_digest(cfg.to_dict()) != config_digest(system.cfg.to_dict()):
             raise CheckpointError(
                 f"{args.ckpt}: config digest mismatch with --config")
-    entries = _read_manifest(args)
-    report = evalsuite.eval_corpus(system, entries)
+    entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
+    report = evalsuite.eval_corpus(system, entries)
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.txt").write_text(report.to_table())
     print(report.to_table(), end="")
@@ -137,7 +129,7 @@ def cmd_eval(args) -> int:
 
 def cmd_align(args) -> int:
     system = AsrSystem.from_checkpoint(_load_ckpt(args.ckpt))
-    entries = _read_manifest(args)
+    entries = trainer.read_manifest(args.manifest)
     if not 0 <= args.index < len(entries):
         raise InputError(f"--index {args.index} outside manifest of {len(entries)}")
     e = entries[args.index]

@@ -213,8 +213,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
     """Read YAML config and apply dotted `key=value` overrides (highest wins)."""
     data = {}
     if path is not None:
-        raw = Path(path).read_text()
-        data = yaml.safe_load(raw) or {}
+        try:
+            data = yaml.safe_load(Path(path).read_text()) or {}
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
@@ -225,5 +227,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"override path {key!r} crosses a scalar")
-        node[parts[-1]] = yaml.safe_load(value)
+        try:
+            node[parts[-1]] = yaml.safe_load(value)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"override {item!r}: bad YAML value: {exc}") from exc
     return from_dict(data)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .config import LmSection
 from .frontend import AudioError
-from .layers import (attention, causal_mask, init_bias, init_embedding,
-                     init_ones, init_weight)
+from .layers import (attention, causal_mask, dropout_keeps, init_bias,
+                     init_embedding, init_ones, init_weight)
 from .numcore import Tensor, no_grad, ops, param
 from .numcore.rng import generator
 from .tokenizer import BOS, EOS, PAD, UNK
@@ -86,11 +86,10 @@ class DecoderLM:
         return y
 
     def _block(self, i: int, x: Tensor, mask: np.ndarray | None,
-               cache: dict | None = None, train: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
+               cache: dict | None = None, att_keep: np.ndarray | None = None,
+               ffn_keep: np.ndarray | None = None) -> Tensor:
         p = self.params
         pre = f"block{i}."
-        drop = self.config.dropout if train else 0.0
         h = ops.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
         q, k, v = (self._proj(h, pre + name) for name in ("wq", "wk", "wv"))
         if cache is not None:
@@ -99,25 +98,25 @@ class DecoderLM:
             vd = v.data if cv is None else np.concatenate([cv, v.data], axis=0)
             cache[i] = (kd, vd)
             k, v = Tensor(kd), Tensor(vd)
-        keep = None
-        if drop > 0.0 and rng is not None:
-            keep = ops.dropout_mask((self.config.num_heads, q.shape[0], k.shape[0]),
-                                    drop, rng, q.data.dtype)
-        att = attention(q, k, v, self.config.num_heads, mask=mask, keep=keep)
+        att = attention(q, k, v, self.config.num_heads, mask=mask, keep=att_keep)
         x = x + self._proj(att, pre + "wo")
         h = ops.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
         h = ops.swish(ops.linear(h, p[pre + "ffn1.w"], p[pre + "ffn1.b"]))
-        if drop > 0.0 and rng is not None:
-            h = ops.dropout(h, drop, rng)
+        if ffn_keep is not None:
+            h = ops.mul_const(h, ffn_keep)
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
     def _logits(self, x: Tensor, mask: np.ndarray | None, cache: dict | None = None,
-                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+                rng: np.random.Generator | None = None) -> Tensor:
         """Per-position logits of the embedded sequence x (layers, final norm,
-        output projection). With a cache, x extends the cached keys/values."""
-        for i in range(self.config.num_layers):
-            x = self._block(i, x, mask, cache, train, rng)
+        output projection). With a cache, x extends the cached keys/values.
+        Dropout runs only with an rng."""
+        cfg = self.config
+        keeps = dropout_keeps(rng, cfg.dropout, cfg.num_layers, cfg.num_heads,
+                              cfg.ffn_dim, x.shape[0], x.data.dtype)
+        for i, (att_keep, ffn_keep) in enumerate(keeps):
+            x = self._block(i, x, mask, cache, att_keep, ffn_keep)
         x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
         return ops.linear(x, self.params["out.w"], self.params["out.b"])
 
@@ -139,15 +138,13 @@ class DecoderLM:
         return x + ops.narrow(self.params["pos"], 0, pos_offset, S)
 
     def forward_mixed(self, audio_embeds: Tensor | None, text_ids,
-                      train: bool = False,
                       rng: np.random.Generator | None = None) -> Tensor:
         """Per-position logits for [audio || text] under a causal mask."""
         x = self._embed(audio_embeds, text_ids)
-        return self._logits(x, causal_mask(x.shape[0], dtype=x.data.dtype),
-                            train=train, rng=rng)
+        return self._logits(x, causal_mask(x.shape[0], dtype=x.data.dtype), rng=rng)
 
     def loss_mixed(self, audio_embeds: Tensor | None, text_tokens,
-                   train: bool = False, rng: np.random.Generator | None = None,
+                   rng: np.random.Generator | None = None,
                    input_tokens=None) -> Tensor:
         """Mean next-token NLL over text positions.
 
@@ -160,7 +157,7 @@ class DecoderLM:
                                      else text_tokens)
         targets = list(text_tokens) + [cfg.eos_id]
         M = 0 if audio_embeds is None else audio_embeds.shape[0]
-        logits = self.forward_mixed(audio_embeds, inputs, train=train, rng=rng)
+        logits = self.forward_mixed(audio_embeds, inputs, rng=rng)
         text_logits = ops.narrow(logits, 0, M, len(targets))
         logp = ops.log_softmax(text_logits)
         picked = ops.gather_rows(logp, np.asarray(targets))

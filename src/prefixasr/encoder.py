@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import EncoderSection
 from .frontend import NUM_MELS, AudioError, FeatureMatrix
-from .layers import (attention, init_bias, init_conv_weight,
+from .layers import (attention, dropout_keeps, init_bias, init_conv_weight,
                      init_depthwise_weight, init_embedding, init_ones,
                      init_weight)
 from .numcore import Tensor, ops
@@ -96,7 +96,8 @@ class ConformerEncoder:
                         att_keep: np.ndarray | None = None,
                         ffn_keep: np.ndarray | None = None) -> Tensor:
         """One block over (U, d) or a padded batch (B, U, d) whose items have
-        the given lengths; the keep masks are dropout masks (see forward)."""
+        the given lengths; the keep masks are dropout masks (see
+        _dropout_keeps)."""
         p = self.params
         pre = f"block{i}."
         cfg = self.config
@@ -124,41 +125,41 @@ class ConformerEncoder:
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
-    def _dropout_keeps(self, lengths: list[int], U: int, rng: np.random.Generator,
-                       dtype) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _dropout_keeps(self, lengths: list[int], U: int,
+                       rng: np.random.Generator | None, dtype) -> list[tuple]:
         """(attention keep, FFN keep) per block for a batch whose items have
-        `lengths` frames, padded to U. The masks are drawn item by item, and
-        within an item block by block, attention before FFN: the order in
-        which encoding the items one at a time draws them. Padding gets 0."""
+        `lengths` frames, padded to U: each item's masks come from
+        layers.dropout_keeps, item by item, and padding gets 0."""
         cfg = self.config
         L, B, h, f = cfg.num_layers, len(lengths), cfg.num_heads, cfg.ffn_dim
+        if rng is None or cfg.dropout <= 0.0:
+            return [(None, None)] * L
         att = np.zeros((L, B, h, U, U), dtype)
         ffn = np.zeros((L, B, U, f), dtype)
         for b, u in enumerate(lengths):
-            for i in range(L):
-                att[i, b, :, :u, :u] = ops.dropout_mask((h, u, u), cfg.dropout, rng, dtype)
-                ffn[i, b, :u] = ops.dropout_mask((u, f), cfg.dropout, rng, dtype)
+            keeps = dropout_keeps(rng, cfg.dropout, L, h, f, u, dtype)
+            for i, (att_keep, ffn_keep) in enumerate(keeps):
+                att[i, b, :, :u, :u] = att_keep
+                ffn[i, b, :u] = ffn_keep
         return list(zip(att, ffn))
 
-    def forward(self, features: Tensor, lengths: Sequence[int] | None = None,
-                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        """(T, 80) -> (U, d_model), or a zero-padded batch (B, T, 80) whose
-        items have `lengths` frames -> (B, U, d_model), U = ceil(T/stride).
+    def forward(self, features: Sequence[FeatureMatrix],
+                rng: np.random.Generator | None = None) -> Tensor:
+        """Encode the utterances as one zero-padded (B, T, 80) batch ->
+        (B, U, d_model), U = ceil(T/stride). Dropout runs only with an rng.
 
         Rows past an item's output length hold junk that a loss must ignore.
         """
-        batched = features.data.ndim == 3
-        if lengths is None:
-            lengths = [features.shape[-2]] * (features.shape[0] if batched else 1)
-        x = self.subsample(features, lengths if batched else None)
+        lengths = [f.frames.shape[0] for f in features]
+        dtype = self.params["ctc.w"].data.dtype
+        frames = np.zeros((len(features), max(lengths), self.config.num_features), dtype)
+        for row, f in zip(frames, features):
+            row[:len(f.frames)] = f.frames
+        x = self.subsample(Tensor(frames), lengths)
         U = x.shape[-2]
         out_lengths = self.output_lengths(lengths)
-        keeps = [(None, None)] * self.config.num_layers
-        if train and self.config.dropout > 0.0 and rng is not None:
-            keeps = self._dropout_keeps(out_lengths, U, rng, x.data.dtype)
-            if not batched:
-                keeps = [(a[0], f[0]) for a, f in keeps]
         padded = out_lengths if min(out_lengths) < U else None
+        keeps = self._dropout_keeps(out_lengths, U, rng, dtype)
         for i, (att_keep, ffn_keep) in enumerate(keeps):
             x = self.conformer_block(i, x, padded, att_keep, ffn_keep)
         return x
@@ -166,24 +167,18 @@ class ConformerEncoder:
     def ctc_logits(self, embeddings: Tensor) -> Tensor:
         return ops.linear(embeddings, self.params["ctc.w"], self.params["ctc.b"])
 
-    def encode(self, features: FeatureMatrix, train: bool = False,
-               rng: np.random.Generator | None = None):
+    def encode(self, features: FeatureMatrix, rng: np.random.Generator | None = None):
         """Returns (embeddings (U, d_model), ctc log-probs (U, ctc_vocab+1))."""
-        x = Tensor(features.frames.astype(self.params["ctc.w"].data.dtype))
-        emb = self.forward(x, train=train, rng=rng)
+        emb = self.forward([features], rng)
+        emb = emb.reshape(*emb.shape[1:])
         return emb, ops.log_softmax(self.ctc_logits(emb))
 
-    def encode_batch(self, features: Sequence[FeatureMatrix], train: bool = False,
+    def encode_batch(self, features: Sequence[FeatureMatrix],
                      rng: np.random.Generator | None = None):
-        """Encode as one zero-padded (B, T, 80) batch. Returns (ctc log-probs
-        (B, U, ctc_vocab+1), the real U of each item)."""
-        lengths = [f.frames.shape[0] for f in features]
-        frames = np.zeros((len(features), max(lengths), self.config.num_features),
-                          dtype=self.params["ctc.w"].data.dtype)
-        for row, f in zip(frames, features):
-            row[:len(f.frames)] = f.frames
-        emb = self.forward(Tensor(frames), lengths, train=train, rng=rng)
-        return ops.log_softmax(self.ctc_logits(emb)), self.output_lengths(lengths)
+        """Returns (ctc log-probs (B, U, ctc_vocab+1), the real U of each item)."""
+        emb = self.forward(features, rng)
+        return (ops.log_softmax(self.ctc_logits(emb)),
+                self.output_lengths([f.frames.shape[0] for f in features]))
 
 
 def _zero_padding(x: Tensor, lengths: Sequence[int] | None) -> Tensor:

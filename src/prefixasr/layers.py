@@ -1,4 +1,5 @@
-"""Shared building blocks: parameter init and multi-head attention."""
+"""Shared building blocks: parameter init, dropout masks and multi-head
+attention."""
 
 from __future__ import annotations
 
@@ -37,6 +38,20 @@ def init_embedding(rng: np.random.Generator, num: int, dim: int) -> Tensor:
     return param(0.02 * rng.standard_normal((num, dim)))
 
 
+def dropout_keeps(rng: np.random.Generator | None, p: float, num_layers: int,
+                  num_heads: int, ffn_dim: int, length: int,
+                  dtype) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
+    """Dropout keep masks for one sequence of `length` positions: per block,
+    (attention keep (h, length, length), FFN keep (length, ffn_dim)), drawn
+    block by block, attention first. All None when there is no rng (not
+    training) or p is 0; then nothing is drawn."""
+    if rng is None or p <= 0.0:
+        return [(None, None)] * num_layers
+    return [(ops.dropout_mask((num_heads, length, length), p, rng, dtype),
+             ops.dropout_mask((length, ffn_dim), p, rng, dtype))
+            for _ in range(num_layers)]
+
+
 def split_heads(x: Tensor, num_heads: int) -> Tensor:
     """(..., T, d) -> (..., h, T, d/h)."""
     *lead, T, d = x.shape
@@ -61,7 +76,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     q: (..., Tq, d), k/v: (..., Tk, d). mask is additive (-inf style) and
     broadcasts to (..., h, Tq, Tk). key_lengths (one per batch item) bans
     the padded keys at and past each length. keep is a dropout keep mask
-    over the attention weights (see ops.dropout_mask). Returns (..., Tq, d).
+    over the attention weights (see dropout_keeps). Returns (..., Tq, d).
     """
     d = q.shape[-1]
     dh = d // num_heads

@@ -384,12 +384,6 @@ def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray
     return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    if p <= 0.0:
-        return x
-    return mul_const(x, dropout_mask(x.data.shape, p, rng, x.data.dtype))
-
-
 def mul_const(x: Tensor, c: np.ndarray) -> Tensor:
     """Multiply by a constant (non-differentiated) array that broadcasts to x,
     e.g. a dropout mask or a 0/1 mask over padded rows."""

@@ -60,25 +60,22 @@ class AsrSystem:
 
     # -- forward ----------------------------------------------------------
 
-    def embed_audio(self, features: FeatureMatrix, train: bool = False,
-                    rng=None) -> Tensor:
-        dtype = self.encoder.params["ctc.w"].data.dtype
-        emb = self.encoder.forward(Tensor(features.frames.astype(dtype)),
-                                   train=train, rng=rng)
-        return self.bridge.forward(emb)
+    def embed_audio(self, features: FeatureMatrix, rng=None) -> Tensor:
+        emb = self.encoder.forward([features], rng)
+        return self.bridge.forward(emb.reshape(*emb.shape[1:]))
 
     def ctc_losses(self, features: list[FeatureMatrix], texts: list[str],
-                   train: bool = False, rng=None) -> list[Tensor]:
+                   rng=None) -> list[Tensor]:
         """Stage-1 loss: one CTC loss per utterance of a padded batch."""
-        log_probs, lengths = self.encoder.encode_batch(features, train=train, rng=rng)
+        log_probs, lengths = self.encoder.encode_batch(features, rng)
         return ctc.ctc_losses(log_probs, lengths,
                               [self.tokenizer.encode_ctc(t) for t in texts])
 
     def joint_loss(self, features: FeatureMatrix, text: str,
-                   input_text_ids=None, train: bool = False, rng=None) -> Tensor:
-        audio = self.embed_audio(features, train=train, rng=rng)
+                   input_text_ids=None, rng=None) -> Tensor:
+        audio = self.embed_audio(features, rng)
         target_ids = self.tokenizer.encode(text)
-        return self.lm.loss_mixed(audio, target_ids, train=train, rng=rng,
+        return self.lm.loss_mixed(audio, target_ids, rng=rng,
                                   input_tokens=input_text_ids)
 
     def transcribe(self, features: FeatureMatrix,
@@ -126,11 +123,14 @@ class AsrSystem:
         """
         stats = ckpt.namespace("frontend.mel_")
         normalizer = None
-        if stats and cfg.frontend.normalize:
-            normalizer = FeatureNormalizer(mean=stats["mean"].astype(np.float32),
-                                           std=stats["std"].astype(np.float32))
-        system = cls(cfg, CharTokenizer.from_dict(ckpt.metadata["tokenizer"]),
-                     normalizer, seed=seed)
+        try:
+            if stats and cfg.frontend.normalize:
+                normalizer = FeatureNormalizer(mean=stats["mean"].astype(np.float32),
+                                               std=stats["std"].astype(np.float32))
+            tokenizer = CharTokenizer.from_dict(ckpt.metadata["tokenizer"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"bad feature statistics or tokenizer: {exc!r}") from exc
+        system = cls(cfg, tokenizer, normalizer, seed=seed)
         system.load_tensors({k: v for k, v in ckpt.tensors.items()
                              if k.startswith("encoder.")}, require_all=False)
         return system

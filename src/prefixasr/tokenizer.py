@@ -60,4 +60,8 @@ class CharTokenizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CharTokenizer":
-        return cls(chars=list(d["chars"]))
+        chars = d["chars"]
+        if not isinstance(chars, list) or not all(isinstance(c, str) and len(c) == 1
+                                                  for c in chars):
+            raise ValueError(f"tokenizer chars must be a list of characters, got {chars!r}")
+        return cls(chars=list(chars))

@@ -48,21 +48,30 @@ class ManifestEntry:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    """One JSON object per line: {audio_path, text, language}."""
+    """One JSON object per line: {audio_path, text, language}, all strings."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    fields = ("audio_path", "text", "language")
     entries = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-        missing = {"audio_path", "text", "language"} - set(obj)
+        if not isinstance(obj, dict):
+            raise ManifestError(f"{path}:{lineno}: expected a JSON object")
+        missing = set(fields) - set(obj)
         if missing:
             raise ManifestError(f"{path}:{lineno}: missing fields {sorted(missing)}")
+        if not all(isinstance(obj[k], str) for k in fields):
+            raise ManifestError(f"{path}:{lineno}: {', '.join(fields)} must be strings")
         if not obj["text"]:
             raise ManifestError(f"{path}:{lineno}: empty transcript")
-        entries.append(ManifestEntry(obj["audio_path"], obj["text"], obj["language"]))
+        entries.append(ManifestEntry(*(obj[k] for k in fields)))
     if not entries:
         raise ManifestError(f"{path}: empty manifest")
     return entries
@@ -91,9 +100,16 @@ def balanced_sampler(per_language_hours: dict[str, float], alpha: float,
         warnings.warn(f"languages with no data excluded: {empty}")
     if not langs:
         raise ValueError("no language has data")
-    weights = np.array([per_language_hours[l] ** alpha for l in langs])
-    probs = weights / weights.sum()
-    return langs[rng.choice(len(langs), p=probs)]
+    hours = [per_language_hours[l] for l in langs]
+    try:
+        weights = np.array([h ** alpha for h in hours])
+    except OverflowError:
+        weights = np.array([math.inf])
+    if not 0.0 < weights.sum() < math.inf:
+        # every weight underflowed, or one overflowed: normalise in log space
+        log_weights = alpha * np.log(hours)
+        weights = np.exp(log_weights - log_weights.max())
+    return langs[rng.choice(len(langs), p=weights / weights.sum())]
 
 
 @dataclass
@@ -173,8 +189,9 @@ class StageSpec:
     section: StageSection
     system: AsrSystem
     params: dict[str, Tensor]  # what trains; every other system tensor is frozen
-    # (features, transcripts, train, rng) -> one scalar loss per utterance
-    batch_loss: Callable[[list[frontend.FeatureMatrix], list[str], bool,
+    # (features, transcripts, rng) -> one scalar loss per utterance; an rng
+    # means training (dropout, token masking), None means validation
+    batch_loss: Callable[[list[frontend.FeatureMatrix], list[str],
                           np.random.Generator | None], list[Tensor]]
     keep: tuple[str, ...]  # prefixes of the system tensors its checkpoints hold
 
@@ -227,10 +244,7 @@ def _mean_feasible(losses):
     kept = [l for l in losses if l.item() != math.inf]
     if not kept:
         return None
-    total = kept[0]
-    for l in kept[1:]:
-        total = total + l
-    return total * (1.0 / len(kept))
+    return sum(kept[1:], kept[0]) * (1.0 / len(kept))
 
 
 def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
@@ -248,9 +262,9 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
     for name, t in system.named_params().items():
         t.requires_grad = name in spec.params
 
-    def batch_loss(batch: list[PreparedUtterance], train: bool, rng=None):
+    def batch_loss(batch: list[PreparedUtterance], rng=None):
         return spec.batch_loss([u.features(system.normalizer) for u in batch],
-                               [u.entry.text for u in batch], train, rng)
+                               [u.entry.text for u in batch], rng)
 
     names = sorted(spec.params)
     params = [spec.params[n] for n in names]
@@ -267,12 +281,16 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
         if changed:
             raise CheckpointError(f"{state_path}: the saved state has a different "
                                   f"{', '.join(changed)} config than this run")
-        if "train_state" not in saved.metadata:
-            raise CheckpointError(f"{state_path}: not a training state file")
-        state = _TrainState(**saved.metadata["train_state"])
+        try:
+            state = _TrainState(**saved.metadata.get("train_state", {}))
+        except TypeError as exc:
+            raise CheckpointError(f"{state_path}: not a training state file ({exc})") from exc
         if state.stage != spec.name:
             raise CheckpointError(f"{state_path}: the state is for stage "
                                   f"{state.stage!r}, not {spec.name!r}")
+        missing = sorted({f"adam.{m}.{n}" for m in "mv" for n in names} - set(saved.tensors))
+        if missing:
+            raise CheckpointError(f"{state_path}: missing optimizer tensors {missing}")
         adam.step = state.adam_step
         for i, n in enumerate(names):
             adam.m[i][...] = saved.tensors["adam.m." + n]
@@ -302,7 +320,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
             p.grad = None
         batch = sample_batch(train_utts, hours, tcfg.sampling_alpha,
                              tcfg.batch_seconds, rng)
-        loss = _mean_feasible(batch_loss(batch, True, rng))
+        loss = _mean_feasible(batch_loss(batch, rng))
         if loss is None:
             state.infeasible += 1
             continue
@@ -323,7 +341,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
         if state.step % tcfg.eval_interval == 0 or state.step == max_steps:
             with no_grad():
                 vals = [l.item() for chunk in valid_chunks
-                        for l in batch_loss(chunk, False)]
+                        for l in batch_loss(chunk)]
             vals = [v for v in vals if v != math.inf]
             valid = float(np.mean(vals)) if vals else math.inf
             state.log.append({"step": state.step, "lr": lr,
@@ -381,15 +399,14 @@ def train_joint(entries: list[ManifestEntry], cfg: RunConfig,
     def make_spec(train_utts):
         system = AsrSystem.from_encoder_checkpoint(cfg, encoder_ckpt, seed=tcfg.seed)
 
-        def utt_loss(feats, text, train, rng):
+        def utt_loss(feats, text, rng):
             inputs = None
-            if train:
+            if rng is not None:
                 inputs = mask_tokens(system.tokenizer.encode(text), tcfg.mask_fraction, rng)
-            return system.joint_loss(feats, text, input_text_ids=inputs,
-                                     train=train, rng=rng)
+            return system.joint_loss(feats, text, input_text_ids=inputs, rng=rng)
 
-        def batch_loss(feats, texts, train, rng):
-            return [utt_loss(f, t, train, rng) for f, t in zip(feats, texts)]
+        def batch_loss(feats, texts, rng):
+            return [utt_loss(f, t, rng) for f, t in zip(feats, texts)]
 
         return StageSpec("joint", tcfg.joint, system, system.joint_trainable(),
                          batch_loss, ("",))  # "" keeps every tensor

@@ -2,10 +2,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fast_config
 from prefixasr.checkpoint import (CheckpointError, ModelCheckpoint,
                                   config_digest, file_digest, load_checkpoint,
                                   save_checkpoint)
+from prefixasr.frontend import FeatureNormalizer
+from prefixasr.system import AsrSystem
+from prefixasr.tokenizer import CharTokenizer
 
 
 @pytest.fixture
@@ -66,6 +72,13 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(b"SL")
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_unreadable_file_rejected(tmp_path):
+    """A resume finds a directory where its state file should be."""
+    (tmp_path / "state.ckpt").mkdir()
+    with pytest.raises(CheckpointError, match="cannot read"):
+        load_checkpoint(tmp_path / "state.ckpt")
 
 
 def test_namespace_filter(ckpt):
@@ -139,3 +152,40 @@ def test_corrupt_file_rejected(tmp_path, ckpt, corrupt):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """(bytes of a saved tiny model checkpoint, a scratch path)."""
+    cfg = fast_config(["encoder.d_model=8", "encoder.ffn_dim=8", "encoder.subsample_channels=4",
+                       "encoder.max_frames=8", "lm.d_llm=8", "lm.ffn_dim=8",
+                       "lm.max_positions=8", "lora.rank=1"])
+    normalizer = FeatureNormalizer(mean=np.zeros(80, np.float32), std=np.ones(80, np.float32))
+    system = AsrSystem(cfg, CharTokenizer.from_texts(["ab c"]), normalizer)
+    path = tmp_path_factory.mktemp("small") / "model.ckpt"
+    save_checkpoint(path, system.to_checkpoint({"stage": "joint"}))
+    return path.read_bytes(), path
+
+
+def _damage(data: bytes):
+    """A truncation, or a single byte flipped anywhere or inside the header
+    and metadata (the first 2 KB)."""
+    position = st.one_of(st.integers(0, len(data) - 1), st.integers(0, 2047))
+    cut = st.builds(lambda n: data[:n], position)
+    flip = st.builds(lambda i, x: data[:i] + bytes([data[i] ^ x]) + data[i + 1:],
+                     position, st.integers(1, 255))
+    return st.one_of(cut, flip)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_model_checkpoint_loads_or_raises_checkpoint_error(small_model, data):
+    """The format has no payload checksum, so a flip inside tensor data may
+    still load."""
+    original, path = small_model
+    path.write_bytes(data.draw(_damage(original)))
+    try:
+        AsrSystem.from_checkpoint(load_checkpoint(path))
+    except CheckpointError:
+        pass

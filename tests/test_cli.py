@@ -185,11 +185,53 @@ def test_bad_config_override_exit_2(toy_corpus, tmp_path):
     "lm.dropout=-0.5",
     "training.batch_seconds=.inf",
     "training.batch_seconds=.nan",
+    "encoder.d_model=[1",
 ])
 def test_bad_config_value_exit_2(override, toy_corpus, tmp_path):
     manifest, _ = toy_corpus
     assert run("pretrain", "--manifest", str(manifest), "--out-dir",
                str(tmp_path), "--set", override) == cli.EXIT_BAD_INPUT
+
+
+def _file(path, data):
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return str(path)
+
+
+def _manifest_line(line):
+    return lambda d, m: ["pretrain", "--manifest", _file(d / "m.jsonl", line + "\n"),
+                         "--out-dir", str(d / "out")]
+
+
+# each builds (tmp_path, manifest) -> argv that fails before any training
+USER_MISTAKES = {
+    "config_bad_yaml": lambda d, m: [
+        "pretrain", "--config", _file(d / "c.yaml", "encoder: [1\n"),
+        "--manifest", m, "--out-dir", str(d / "out")],
+    "config_is_dir": lambda d, m: [
+        "pretrain", "--config", str(d), "--manifest", m, "--out-dir", str(d / "out")],
+    "config_not_utf8": lambda d, m: [
+        "pretrain", "--config", _file(d / "c.yaml", b"encoder:\n  d_model: \xff\xfe\n"),
+        "--manifest", m, "--out-dir", str(d / "out")],
+    "manifest_is_dir": lambda d, m: [
+        "pretrain", "--manifest", str(d), "--out-dir", str(d / "out")],
+    "manifest_not_utf8": lambda d, m: [
+        "pretrain", "--manifest", _file(d / "m.jsonl", b'{"text": "\xff"}\n'),
+        "--out-dir", str(d / "out")],
+    "manifest_line_not_object": _manifest_line("5"),
+    "manifest_text_not_string": _manifest_line(
+        json.dumps({"audio_path": "a.wav", "text": 5, "language": "aa"})),
+    "out_dir_is_file": lambda d, m: [
+        "pretrain", "--manifest", m, "--out-dir", _file(d / "taken", "")],
+    "ckpt_is_dir": lambda d, m: [
+        "transcribe", "--ckpt", str(d), _file(d / "a.wav", "")],
+}
+
+
+@pytest.mark.parametrize("mistake", sorted(USER_MISTAKES))
+def test_user_mistake_exit_2(mistake, toy_corpus, tmp_path):
+    manifest, _ = toy_corpus
+    assert run(*USER_MISTAKES[mistake](tmp_path, str(manifest))) == cli.EXIT_BAD_INPUT
 
 
 def test_unknown_subcommand_exit_2():
@@ -250,3 +292,55 @@ def test_no_normalizer_when_normalization_is_off(toy_corpus, fast_cfg_file, tmp_
     system = AsrSystem.from_checkpoint(load_checkpoint(tmp_path / "model.ckpt"))
     assert system.cfg.frontend.normalize is False
     assert system.normalizer is None
+
+
+def _drop_tokenizer(ckpt):
+    del ckpt.metadata["tokenizer"]
+
+
+def _chars_not_a_list(ckpt):
+    ckpt.metadata["tokenizer"] = {"chars": 5}
+
+
+def _chars_not_strings(ckpt):
+    chars = ckpt.metadata["tokenizer"]["chars"]
+    ckpt.metadata["tokenizer"]["chars"] = list(range(len(chars)))
+
+
+def _unknown_state_key(ckpt):
+    ckpt.metadata["train_state"]["bogus"] = 1
+
+
+def _missing_adam_tensor(ckpt):
+    del ckpt.tensors[min(k for k in ckpt.tensors if k.startswith("adam.m."))]
+
+
+@pytest.mark.parametrize("damage", [_drop_tokenizer, _chars_not_a_list, _chars_not_strings],
+                         ids=["no_tokenizer", "chars_not_a_list", "chars_not_strings"])
+def test_transcribe_with_damaged_metadata_exit_3(damage, trained, toy_corpus, tmp_path):
+    out, _ = trained
+    _, entries = toy_corpus
+    ckpt = load_checkpoint(out / "model.ckpt")
+    damage(ckpt)
+    save_checkpoint(tmp_path / "model.ckpt", ckpt)
+    assert run("transcribe", "--ckpt", str(tmp_path / "model.ckpt"),
+               entries[0].audio_path) == cli.EXIT_BAD_DATA
+
+
+@pytest.mark.parametrize("damage", [_unknown_state_key, _missing_adam_tensor],
+                         ids=["unknown_state_key", "missing_adam_tensor"])
+def test_resume_with_damaged_state_exit_3(damage, trained, fast_cfg_file, tmp_path):
+    out, manifest = trained
+    ckpt = load_checkpoint(out / "pretrain_state.ckpt")
+    damage(ckpt)
+    save_checkpoint(tmp_path / "pretrain_state.ckpt", ckpt)
+    assert run("pretrain", "--config", fast_cfg_file, "--manifest", str(manifest),
+               "--out-dir", str(tmp_path), "--resume") == cli.EXIT_BAD_DATA
+
+
+def test_pretrain_with_vanishing_sampling_weights(toy_corpus, fast_cfg_file, tmp_path):
+    """Every hours**400 underflows to 0 on the toy corpus."""
+    manifest, _ = toy_corpus
+    assert run("pretrain", "--config", fast_cfg_file, "--set", "training.sampling_alpha=400.0",
+               "--set", "training.pretrain.max_steps=2", "--manifest", str(manifest),
+               "--out-dir", str(tmp_path)) == 0

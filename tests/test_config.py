@@ -1,4 +1,9 @@
+import dataclasses
+import typing
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixasr.checkpoint import config_digest
 from prefixasr.config import (LM_PRESETS, ConfigError, RunConfig, from_dict,
@@ -77,3 +82,27 @@ def test_digest_changes_with_config():
     a = RunConfig().to_dict()
     b = load_config(overrides=["lora.rank=0"]).to_dict()
     assert config_digest(a) != config_digest(b)
+
+
+def _schema_keys(cls=RunConfig, prefix=""):
+    """Every dotted key of the schema, sections included."""
+    keys = []
+    for name, hint in typing.get_type_hints(cls).items():
+        keys.append(prefix + name)
+        if dataclasses.is_dataclass(hint):
+            keys += _schema_keys(hint, prefix + name + ".")
+    return keys
+
+
+YAML_SYNTAX = st.text(st.sampled_from(list("[]{}:,&*!|>'\"%@`#-?.= \n\tae01")), max_size=12)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(key=st.sampled_from(_schema_keys()),
+       value=st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                       YAML_SYNTAX, st.text(max_size=12)))
+def test_any_override_loads_or_raises_config_error(key, value):
+    try:
+        load_config(overrides=[f"{key}={value}"])
+    except ConfigError:
+        pass

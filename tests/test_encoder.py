@@ -167,10 +167,10 @@ class TestBatched:
                     p.grad = None
                 step_rng = generator(0, "test", "step", 1)
                 if batched:
-                    log_probs, frames = enc.encode_batch(feats, train=True, rng=step_rng)
+                    log_probs, frames = enc.encode_batch(feats, rng=step_rng)
                     losses = ctc.ctc_losses(log_probs, frames, labels)
                 else:
-                    losses = [ctc.ctc_loss(enc.encode(f, train=True, rng=step_rng)[1], l)
+                    losses = [ctc.ctc_loss(enc.encode(f, rng=step_rng)[1], l)
                               for f, l in zip(feats, labels)]
                 kept = [l for l in losses if l.item() != math.inf]
                 total = kept[0]

@@ -4,6 +4,8 @@ import pytest
 from conftest import fast_config
 from prefixasr.checkpoint import CheckpointError
 from prefixasr.frontend import FeatureMatrix, FeatureNormalizer
+from prefixasr.numcore import ops
+from prefixasr.numcore.rng import generator
 from prefixasr.system import AsrSystem
 from prefixasr.tokenizer import CharTokenizer
 
@@ -27,6 +29,30 @@ def test_joint_loss_finite_and_backprops():
     # every joint-trainable parameter receives gradient
     for name, p in system.joint_trainable().items():
         assert p.grad is not None, name
+
+
+def test_joint_loss_dropout_draw_order(monkeypatch):
+    """Stage 2 draws per utterance: each encoder block's attention then FFN
+    mask over its U frames, then each LM block's over the S mixed positions.
+    Pins the order that a batched joint stage must reproduce."""
+    system = make_system(["encoder.dropout=0.1", "lm.dropout=0.1",
+                          "encoder.num_layers=2", "lm.num_layers=2"])
+    shapes = []
+    dropout_mask = ops.dropout_mask
+
+    def recording(shape, p, rng, dtype):
+        shapes.append(tuple(shape))
+        return dropout_mask(shape, p, rng, dtype)
+
+    monkeypatch.setattr(ops, "dropout_mask", recording)
+    rng = generator(0, "test", "step", 1)
+    system.joint_loss(feats(70), "abc", rng=rng)
+    # U = ceil(70/8) = 9 frames; S = ceil(9/3) audio + bos + 3 chars = 7
+    assert shapes == [(2, 9, 9), (9, 64)] * 2 + [(2, 7, 7), (7, 128)] * 2
+    fresh = generator(0, "test", "step", 1)
+    for shape in shapes:
+        fresh.random(shape)
+    assert rng.random() == fresh.random()
 
 
 def test_joint_trainable_excludes_ctc_head_and_base_lm():

@@ -95,6 +95,15 @@ def test_sampler_warns_on_empty_language():
     assert lang == "en"
 
 
+def test_sampler_vanishing_weights_normalised_in_log_space():
+    """hours**400 underflows to 0 for both languages, and 1e-4**-400
+    overflows; the draws follow the power law in log space instead."""
+    rng = np.random.default_rng(0)
+    hours = {"aa": 1e-4, "bb": 2e-4}
+    assert trainer.balanced_sampler(hours, 400.0, rng) == "bb"
+    assert trainer.balanced_sampler(hours, -400.0, rng) == "aa"
+
+
 def test_sampler_no_data_at_all():
     with pytest.raises(ValueError):
         trainer.balanced_sampler({"en": 0.0}, 0.5, np.random.default_rng(0))
