@@ -110,10 +110,12 @@ def cmd_transcribe(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    system = AsrSystem.from_checkpoint(_load_ckpt(args.ckpt))
+    ckpt = _load_ckpt(args.ckpt)
+    system = AsrSystem.from_checkpoint(ckpt)
     if args.config is not None:
+        # the training config, as stored; the loaded system is rank 0 after the fold
         cfg = _load_run_config(args)
-        if config_digest(cfg.to_dict()) != config_digest(system.cfg.to_dict()):
+        if config_digest(cfg.to_dict()) != ckpt.digest:
             raise CheckpointError(
                 f"{args.ckpt}: config digest mismatch with --config")
     entries = trainer.read_manifest(args.manifest)

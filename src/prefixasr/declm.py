@@ -86,18 +86,18 @@ class DecoderLM:
         return y
 
     def _block(self, i: int, x: Tensor, mask: np.ndarray | None,
-               cache: dict | None = None, att_keep: np.ndarray | None = None,
+               cache: list | None = None, att_keep: np.ndarray | None = None,
                ffn_keep: np.ndarray | None = None) -> Tensor:
         p = self.params
         pre = f"block{i}."
         h = ops.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
         q, k, v = (self._proj(h, pre + name) for name in ("wq", "wk", "wv"))
         if cache is not None:
-            ck, cv = cache.get(i, (None, None))
-            kd = k.data if ck is None else np.concatenate([ck, k.data], axis=0)
-            vd = v.data if cv is None else np.concatenate([cv, v.data], axis=0)
-            cache[i] = (kd, vd)
-            k, v = Tensor(kd), Tensor(vd)
+            kbuf, vbuf, n = cache[i]
+            end = n + k.shape[0]
+            kbuf[n:end], vbuf[n:end] = k.data, v.data
+            cache[i] = (kbuf, vbuf, end)
+            k, v = Tensor(kbuf[:end]), Tensor(vbuf[:end])
         att = attention(q, k, v, self.config.num_heads, mask=mask, keep=att_keep)
         x = x + self._proj(att, pre + "wo")
         h = ops.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
@@ -107,7 +107,7 @@ class DecoderLM:
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
-    def _logits(self, x: Tensor, mask: np.ndarray | None, cache: dict | None = None,
+    def _logits(self, x: Tensor, mask: np.ndarray | None, cache: list | None = None,
                 rng: np.random.Generator | None = None) -> Tensor:
         """Per-position logits of the embedded sequence x (layers, final norm,
         output projection). With a cache, x extends the cached keys/values.
@@ -167,12 +167,16 @@ class DecoderLM:
                       max_len: int = MAX_DECODE_TOKENS) -> list[int]:
         """Deterministic argmax decoding with an incremental KV cache: the
         first step runs [audio || bos] under a causal mask, each later step
-        runs the last token alone. Stops at max_len tokens, at eos, or when
+        runs the last token alone. Each layer's cache is one K and one V
+        buffer over the whole position table plus its filled length; a step
+        writes its rows in place. Stops at max_len tokens, at eos, or when
         the position table is full."""
         cfg = self.config
         with no_grad():
-            cache: dict = {}
             x = self._embed(audio_embeds, [cfg.bos_id])
+            shape, dtype = (cfg.max_positions, cfg.d_llm), x.data.dtype
+            cache = [(np.empty(shape, dtype), np.empty(shape, dtype), 0)
+                     for _ in range(cfg.num_layers)]
             pos = x.shape[0]
             mask = causal_mask(pos, dtype=x.data.dtype)
             out: list[int] = []

@@ -274,14 +274,17 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # one pass over x for the mean and one for the variance; the same
+    # arithmetic as x.mean/x.var, without var recomputing the mean
+    d = x.data.shape[-1]
+    mu = np.add.reduce(x.data, -1, keepdims=True) / d
+    xc = x.data - mu
+    var = np.add.reduce(xc * xc, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def backward(g):
-        d = x.data.shape[-1]
         dxhat = g * gain.data
         dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))

@@ -116,53 +116,42 @@ class Tensor:
                     else:
                         grads[id(parent)] = pg
 
-    # operator sugar; implementations live in ops.py
+    # operator sugar; implementations live in ops.py (imported at the bottom)
     def __add__(self, other):
-        from . import ops
         return ops.add(self, other)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        from . import ops
         return ops.mul(self, other)
 
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        from . import ops
         return ops.sub(self, other)
 
     def __rsub__(self, other):
-        from . import ops
         return ops.sub(other, self)
 
     def __neg__(self):
-        from . import ops
         return ops.mul(self, -1.0)
 
     def __truediv__(self, other):
-        from . import ops
         return ops.div(self, other)
 
     def __matmul__(self, other):
-        from . import ops
         return ops.matmul(self, other)
 
     def reshape(self, *shape):
-        from . import ops
         return ops.reshape(self, shape)
 
     def transpose(self, *axes):
-        from . import ops
         return ops.transpose(self, axes or None)
 
     def sum(self, axis=None):
-        from . import ops
         return ops.sum_(self, axis)
 
     def mean(self, axis=None):
-        from . import ops
         return ops.mean(self, axis)
 
 
@@ -188,3 +177,7 @@ def make(data: np.ndarray, parents: Sequence[Tensor],
         out._parents = tuple(parents)
         out._backward = backward
     return out
+
+
+# ops imports Tensor and make from this module, so it comes after them
+from . import ops  # noqa: E402

@@ -137,8 +137,16 @@ class AsrSystem:
 
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint, seed: int = 0) -> "AsrSystem":
+        """Load a trained system for inference. The LoRA adapters are folded
+        into the LM base once, here, so the result is a rank-0 system: the
+        one a merged_checkpoint() loads as, and saves as one."""
         system = cls.from_encoder_checkpoint(from_dict(ckpt.config), ckpt, seed=seed)
         system.load_tensors(ckpt.tensors)
+        lm = system.lm
+        for name, t in lm.merged_params().items():
+            lm.params[name].data = t.data
+        lm.lora, lm.lora_scale = {}, 0.0
+        system.cfg.lora.rank = 0
         return system
 
     def merged_checkpoint(self, metadata: dict | None = None) -> ModelCheckpoint:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -212,6 +212,24 @@ class _TrainState:
     infeasible: int = 0
 
 
+# what each _TrainState field annotation admits in a saved state (bool never)
+_STATE_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "list[dict]": list}
+
+
+def _load_train_state(saved, state_path) -> _TrainState:
+    """The saved "train_state" metadata with its keys and value types checked."""
+    try:
+        state = _TrainState(**saved)
+    except TypeError as exc:
+        raise CheckpointError(f"{state_path}: not a training state file ({exc})") from exc
+    for f in fields(_TrainState):
+        value = getattr(state, f.name)
+        if isinstance(value, bool) or not isinstance(value, _STATE_FIELD_TYPES[f.type]):
+            raise CheckpointError(f"{state_path}: train_state.{f.name} is {value!r}, "
+                                  f"not {f.type}")
+    return state
+
+
 def _write_log(out_dir, rows):
     if out_dir is None:
         return
@@ -281,10 +299,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
         if changed:
             raise CheckpointError(f"{state_path}: the saved state has a different "
                                   f"{', '.join(changed)} config than this run")
-        try:
-            state = _TrainState(**saved.metadata.get("train_state", {}))
-        except TypeError as exc:
-            raise CheckpointError(f"{state_path}: not a training state file ({exc})") from exc
+        state = _load_train_state(saved.metadata.get("train_state", {}), state_path)
         if state.stage != spec.name:
             raise CheckpointError(f"{state_path}: the state is for stage "
                                   f"{state.stage!r}, not {spec.name!r}")

@@ -120,6 +120,20 @@ def test_eval_twice_byte_identical(trained, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("overrides,code", [
+    ([], cli.EXIT_OK),
+    (["--set", "lora.rank=4"], cli.EXIT_BAD_DATA),
+    (["--set", "lora.alpha=8.0"], cli.EXIT_BAD_DATA),
+], ids=["training_config", "other_rank", "other_alpha"])
+def test_eval_config_digest_check(overrides, code, trained, fast_cfg_file, tmp_path):
+    """--config is checked against the LoRA checkpoint's stored config, not
+    the rank-0 system that loading folds the adapters into."""
+    out, manifest = trained
+    assert run("eval", "--config", fast_cfg_file, *overrides, "--ckpt",
+               str(out / "model.ckpt"), "--manifest", str(manifest),
+               "--out-dir", str(tmp_path)) == code
+
+
 def test_align_exports_heatmap(trained, tmp_path):
     out, manifest = trained
     assert run("align", "--ckpt", str(out / "model.ckpt"), "--manifest",
@@ -327,8 +341,22 @@ def test_transcribe_with_damaged_metadata_exit_3(damage, trained, toy_corpus, tm
                entries[0].audio_path) == cli.EXIT_BAD_DATA
 
 
-@pytest.mark.parametrize("damage", [_unknown_state_key, _missing_adam_tensor],
-                         ids=["unknown_state_key", "missing_adam_tensor"])
+def _step_not_an_int(ckpt):
+    ckpt.metadata["train_state"]["step"] = "x"
+
+
+def _best_valid_a_bool(ckpt):
+    ckpt.metadata["train_state"]["best_valid"] = True
+
+
+def _log_not_a_list(ckpt):
+    ckpt.metadata["train_state"]["log"] = {"step": 1}
+
+
+@pytest.mark.parametrize("damage", [_unknown_state_key, _missing_adam_tensor,
+                                    _step_not_an_int, _best_valid_a_bool, _log_not_a_list],
+                         ids=["unknown_state_key", "missing_adam_tensor",
+                              "step_not_an_int", "best_valid_a_bool", "log_not_a_list"])
 def test_resume_with_damaged_state_exit_3(damage, trained, fast_cfg_file, tmp_path):
     out, manifest = trained
     ckpt = load_checkpoint(out / "pretrain_state.ckpt")

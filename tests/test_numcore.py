@@ -176,6 +176,21 @@ def test_quadratic_gradient_exact():
         assert x.grad is not None and abs(x.grad[0] - 6.0) < 1e-8
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 48), (3, 5, 64)])
+def test_layer_norm_forward_matches_mean_var_formula(dtype, shape):
+    rng = np.random.default_rng(12)
+    x = (3.0 + 2.0 * rng.standard_normal(shape)).astype(dtype)
+    g = (1.0 + 0.1 * rng.standard_normal(shape[-1])).astype(dtype)
+    b = (0.1 * rng.standard_normal(shape[-1])).astype(dtype)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    expect = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * g + b
+    out = ops.layer_norm(nc.Tensor(x), nc.Tensor(g), nc.Tensor(b)).data
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, expect)
+
+
 def test_softmax_rows_sum_to_one_and_lse_safe():
     rng = np.random.default_rng(10)
     x = nc.as_tensor(rng.uniform(-1e4, 1e4, size=(20, 11)))

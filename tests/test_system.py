@@ -4,7 +4,7 @@ import pytest
 from conftest import fast_config
 from prefixasr.checkpoint import CheckpointError
 from prefixasr.frontend import FeatureMatrix, FeatureNormalizer
-from prefixasr.numcore import ops
+from prefixasr.numcore import no_grad, ops, use_dtype
 from prefixasr.numcore.rng import generator
 from prefixasr.system import AsrSystem
 from prefixasr.tokenizer import CharTokenizer
@@ -120,6 +120,49 @@ def test_merged_checkpoint_matches_adapter_forward():
     assert not any(k.startswith("lora.") for k in merged.all_tensors())
     np.testing.assert_allclose(merged.joint_loss(f, "abc").item(),
                                system.joint_loss(f, "abc").item(), atol=1e-5)
+
+
+def randomize_adapters(system, seed=3, scale=0.1):
+    """Non-trivial adapter weights, so folding them moves the LM base."""
+    rng = np.random.default_rng(seed)
+    for t in system.lm.lora_parameters().values():
+        t.data = rng.normal(scale=scale, size=t.data.shape).astype(t.data.dtype)
+
+
+def test_loaded_system_decodes_as_the_unfolded_one():
+    """from_checkpoint folds the adapters into the LM base. Each token its
+    decode picks must be the argmax, up to 1e-5 ties, of a full
+    forward_mixed recompute on the unfolded system; so must eos where the
+    decode stopped short of max_len."""
+    max_len = 30
+    with use_dtype(np.float64):
+        system = make_system()
+        randomize_adapters(system)
+        loaded = AsrSystem.from_checkpoint(system.to_checkpoint())
+        f = feats()
+        with no_grad():
+            ids = loaded.lm.greedy_decode(loaded.embed_audio(f), max_len=max_len)
+            audio = system.embed_audio(f)
+            logits = system.lm.forward_mixed(
+                audio, [system.lm.config.bos_id] + ids).data
+    assert loaded.cfg.lora.rank == 0 and loaded.lm.lora == {}
+    assert not np.array_equal(loaded.lm.params["block0.wq"].data,
+                              system.lm.params["block0.wq"].data)
+    chosen = ids if len(ids) == max_len else ids + [system.lm.config.eos_id]
+    rows = logits[audio.shape[0]:][:len(chosen)]
+    picked = rows[np.arange(len(chosen)), chosen]
+    assert np.all(picked >= rows.max(axis=1) - 1e-5)
+
+
+def test_loaded_system_saves_as_merged_checkpoint():
+    system = make_system()
+    randomize_adapters(system)
+    saved = AsrSystem.from_checkpoint(system.to_checkpoint()).to_checkpoint()
+    merged = system.merged_checkpoint()
+    assert saved.config == merged.config
+    assert saved.tensors.keys() == merged.tensors.keys()
+    for name, arr in merged.tensors.items():
+        np.testing.assert_array_equal(saved.tensors[name], arr)
 
 
 def test_transcribe_is_deterministic():
