@@ -113,7 +113,7 @@ def cmd_eval(args) -> int:
     ckpt = _load_ckpt(args.ckpt)
     system = AsrSystem.from_checkpoint(ckpt)
     if args.config is not None:
-        # the training config, as stored; the loaded system is rank 0 after the fold
+        # against the config as trained: loading folded the adapters (rank 0)
         cfg = _load_run_config(args)
         if config_digest(cfg.to_dict()) != ckpt.digest:
             raise CheckpointError(

@@ -138,8 +138,8 @@ class AsrSystem:
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint, seed: int = 0) -> "AsrSystem":
         """Load a trained system for inference. The LoRA adapters are folded
-        into the LM base once, here, so the result is a rank-0 system: the
-        one a merged_checkpoint() loads as, and saves as one."""
+        into the LM base once, here: the result is the rank-0 system that
+        loading merged_checkpoint() gives, and it saves as that checkpoint."""
         system = cls.from_encoder_checkpoint(from_dict(ckpt.config), ckpt, seed=seed)
         system.load_tensors(ckpt.tensors)
         lm = system.lm
