@@ -108,25 +108,22 @@ def test_load_tensors_rejects_unknown_name():
                             require_all=False)
 
 
+def randomize_adapters(system, seed=3, scale=0.1):
+    """Non-trivial adapter weights, so folding them moves the LM base."""
+    rng = np.random.default_rng(seed)
+    for t in system.lm.lora_parameters().values():
+        t.data = rng.normal(scale=scale, size=t.data.shape).astype(t.data.dtype)
+
+
 def test_merged_checkpoint_matches_adapter_forward():
     system = make_system()
-    # give the adapters non-trivial weights so the merge actually moves
-    rng = np.random.default_rng(3)
-    for t in system.lm.lora_parameters().values():
-        t.data = rng.normal(scale=0.02, size=t.data.shape).astype(t.data.dtype)
+    randomize_adapters(system, scale=0.02)
     f = feats()
     merged = AsrSystem.from_checkpoint(system.merged_checkpoint())
     assert merged.cfg.lora.rank == 0
     assert not any(k.startswith("lora.") for k in merged.all_tensors())
     np.testing.assert_allclose(merged.joint_loss(f, "abc").item(),
                                system.joint_loss(f, "abc").item(), atol=1e-5)
-
-
-def randomize_adapters(system, seed=3, scale=0.1):
-    """Non-trivial adapter weights, so folding them moves the LM base."""
-    rng = np.random.default_rng(seed)
-    for t in system.lm.lora_parameters().values():
-        t.data = rng.normal(scale=scale, size=t.data.shape).astype(t.data.dtype)
 
 
 def test_loaded_system_decodes_as_the_unfolded_one():
