@@ -79,11 +79,11 @@ class DecoderLM:
 
     def _proj(self, x: Tensor, name: str) -> Tensor:
         """The projection `name` of x, plus its adapter's delta if it has one."""
-        y = ops.linear(x, self.params[name], self.params[name + ".b"])
-        if self.lora:
-            down, up = self.lora[name + ".down"], self.lora[name + ".up"]
-            y = y + ((x @ down) @ up) * self.lora_scale
-        return y
+        w, b = self.params[name], self.params[name + ".b"]
+        if not self.lora:
+            return ops.linear(x, w, b)
+        return ops.lora_linear(x, w, b, self.lora[name + ".down"],
+                               self.lora[name + ".up"], self.lora_scale)
 
     def _block(self, i: int, x: Tensor, mask: np.ndarray | None,
                cache: list | None = None, att_keep: np.ndarray | None = None,

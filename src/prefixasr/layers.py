@@ -52,50 +52,24 @@ def dropout_keeps(rng: np.random.Generator | None, p: float, num_layers: int,
             for _ in range(num_layers)]
 
 
-def split_heads(x: Tensor, num_heads: int) -> Tensor:
-    """(..., T, d) -> (..., h, T, d/h)."""
-    *lead, T, d = x.shape
-    n = len(lead)
-    return x.reshape(*lead, T, num_heads, d // num_heads).transpose(
-        *range(n), n + 1, n, n + 2)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(..., h, T, dh) -> (..., T, h*dh)."""
-    *lead, h, T, dh = x.shape
-    n = len(lead)
-    return x.transpose(*range(n), n + 1, n, n + 2).reshape(*lead, T, h * dh)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
               mask: np.ndarray | None = None,
               key_lengths: Sequence[int] | None = None,
               keep: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention over one sequence or a padded batch.
+    """Scaled dot-product attention over one sequence or a padded batch, as
+    one ops.attention node.
 
     q: (..., Tq, d), k/v: (..., Tk, d). mask is additive (-inf style) and
     broadcasts to (..., h, Tq, Tk). key_lengths (one per batch item) bans
     the padded keys at and past each length. keep is a dropout keep mask
     over the attention weights (see dropout_keeps). Returns (..., Tq, d).
     """
-    d = q.shape[-1]
-    dh = d // num_heads
-    qh = split_heads(q, num_heads)
-    kh = split_heads(k, num_heads)
-    vh = split_heads(v, num_heads)
-    n = len(kh.shape)
-    scores = (qh @ kh.transpose(*range(n - 2), n - 1, n - 2)) * (1.0 / np.sqrt(dh))
     if key_lengths is not None:
-        cols = np.arange(kh.shape[-2])
+        cols = np.arange(k.shape[-2])
         pad = np.where(cols < np.asarray(key_lengths)[:, None], 0.0, -1e9)
-        pad = pad[:, None, None, :].astype(scores.data.dtype)  # (B, 1, 1, Tk)
+        pad = pad[:, None, None, :].astype(q.data.dtype)  # (B, 1, 1, Tk)
         mask = pad if mask is None else mask + pad
-    if mask is not None:
-        scores = ops.add_mask(scores, mask)
-    weights = ops.softmax(scores, axis=-1)
-    if keep is not None:
-        weights = ops.mul_const(weights, keep)
-    return merge_heads(weights @ vh)
+    return ops.attention(q, k, v, num_heads, mask, keep)
 
 
 def causal_mask(size: int, dtype=np.float32) -> np.ndarray:

@@ -442,3 +442,94 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         return grads
 
     return make(out, (x, w) if b is None else (x, w, b), backward)
+
+
+def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
+                scale: float) -> Tensor:
+    """linear(x, w, b) plus the LoRA delta scale * (x @ down) @ up as one
+    tape node, for x (..., d_in); down (d_in, r), up (r, d_out). backward
+    returns gradients only for the inputs that need one: x, down and up
+    when w and b are the frozen base."""
+    d_in, d_out = w.data.shape
+    x2 = x.data.reshape(-1, d_in)
+    xd = x2 @ down.data
+    s = np.asarray(scale, dtype=xd.dtype)
+    out = x2 @ w.data
+    out += b.data
+    out = (out + (xd @ up.data) * s).reshape(*x.data.shape[:-1], d_out)
+
+    def backward(g):
+        g2 = g.reshape(-1, d_out)
+        gs = g2 * s
+        gxd = gs @ up.data.T
+        grads = []
+        if up.requires_grad:
+            grads.append((up, xd.T @ gs))
+        if down.requires_grad:
+            grads.append((down, x2.T @ gxd))
+        if x.requires_grad:
+            grads.append((x, (g2 @ w.data.T + gxd @ down.data.T).reshape(x.data.shape)))
+        if w.requires_grad:
+            grads.append((w, x2.T @ g2))
+        if b.requires_grad:
+            grads.append((b, g2.sum(axis=0)))
+        return grads
+
+    return make(out, (x, w, b, down, up), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+              mask: np.ndarray | None = None,
+              keep: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    q: (..., Tq, d), k/v: (..., Tk, d). mask is additive (-1e9 at banned
+    keys) and broadcasts to (..., h, Tq, Tk); keep is a dropout keep mask
+    over the attention weights. The forward splits heads, scales q k^T by
+    1/sqrt(d/h), adds the mask, takes a max-subtracted softmax, applies
+    keep, multiplies by v and merges heads: the arithmetic of the same
+    steps as separate ops. The backward is analytic from the saved softmax
+    weights (Dao et al. 2022) and returns gradients only for the inputs
+    that need one. Returns (..., Tq, d).
+    """
+    *lead, Tq, d = q.data.shape
+    dh = d // num_heads
+    n = len(lead)
+    heads = (*range(n), n + 1, n, n + 2)  # (.., T, h, dh) <-> (.., h, T, dh)
+    swap = (*range(n + 1), n + 2, n + 1)  # the last two axes of (.., h, T, dh)
+
+    def split(a):
+        return a.reshape(*a.shape[:-1], num_heads, dh).transpose(heads)
+
+    def merge(a):
+        return a.transpose(heads).reshape(*lead, a.shape[-2], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(qh, kh.transpose(swap))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=scores.dtype)
+    scores = scores * scale
+    if mask is not None:
+        scores = scores + mask
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    kept = weights if keep is None else weights * keep
+    out = merge(np.matmul(kept, vh))
+
+    def backward(g):
+        go = split(g)
+        grads = []
+        if v.requires_grad:
+            grads.append((v, merge(np.matmul(kept.transpose(swap), go))))
+        if q.requires_grad or k.requires_grad:
+            gw = np.matmul(go, vh.transpose(swap))
+            if keep is not None:
+                gw = gw * keep
+            gs = (gw - (gw * weights).sum(axis=-1, keepdims=True)) * weights * scale
+            if q.requires_grad:
+                grads.append((q, merge(np.matmul(gs, kh))))
+            if k.requires_grad:
+                grads.append((k, merge(np.matmul(qh.transpose(swap), gs).transpose(swap))))
+        return grads
+
+    return make(out, (q, k, v), backward)

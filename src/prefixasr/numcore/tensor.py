@@ -170,12 +170,22 @@ def as_tensor(x) -> Tensor:
 
 def make(data: np.ndarray, parents: Sequence[Tensor],
          backward: Callable[[np.ndarray], list] | None) -> Tensor:
-    """Build an op result, recording the tape entry only when needed."""
-    out = Tensor(data)
+    """Build an op result, recording the tape entry only when needed.
+
+    Ops hand over float arrays of the dtype they computed in, so the result
+    skips Tensor.__init__'s coercion; only a numpy scalar (what a full
+    reduction or arithmetic on 0-d arrays gives) is wrapped as a 0-d array."""
+    out = object.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
     if _GRAD_ENABLED and backward is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
     return out
 
 

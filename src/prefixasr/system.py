@@ -12,7 +12,7 @@ from .checkpoint import CheckpointError, ModelCheckpoint
 from .config import RunConfig, from_dict
 from .declm import DecoderLM, LmConfig
 from .encoder import ConformerEncoder, EncoderConfig
-from .frontend import FeatureMatrix, FeatureNormalizer
+from .frontend import NUM_MELS, FeatureMatrix, FeatureNormalizer
 from .numcore import Tensor, no_grad
 from .tokenizer import CharTokenizer
 
@@ -125,8 +125,12 @@ class AsrSystem:
         normalizer = None
         try:
             if stats and cfg.frontend.normalize:
-                normalizer = FeatureNormalizer(mean=stats["mean"].astype(np.float32),
-                                               std=stats["std"].astype(np.float32))
+                mean, std = stats["mean"].astype(np.float32), stats["std"].astype(np.float32)
+                if not (mean.shape == std.shape == (NUM_MELS,) and np.isfinite(mean).all()
+                        and np.isfinite(std).all() and (std > 0).all()):
+                    raise ValueError(f"need finite ({NUM_MELS},) mean and std, std > 0; "
+                                     f"got shapes {mean.shape} and {std.shape}")
+                normalizer = FeatureNormalizer(mean=mean, std=std)
             tokenizer = CharTokenizer.from_dict(ckpt.metadata["tokenizer"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"bad feature statistics or tokenizer: {exc!r}") from exc

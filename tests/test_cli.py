@@ -321,6 +321,19 @@ def _chars_not_strings(ckpt):
     ckpt.metadata["tokenizer"]["chars"] = list(range(len(chars)))
 
 
+def _mel_stats_79_wide(ckpt):
+    for name in ("frontend.mel_mean", "frontend.mel_std"):
+        ckpt.tensors[name] = ckpt.tensors[name][:79]
+
+
+def _mel_mean_nan(ckpt):
+    ckpt.tensors["frontend.mel_mean"] = np.full(80, np.nan, np.float32)
+
+
+def _mel_std_zero(ckpt):
+    ckpt.tensors["frontend.mel_std"] = np.zeros(80, np.float32)
+
+
 def _unknown_state_key(ckpt):
     ckpt.metadata["train_state"]["bogus"] = 1
 
@@ -329,8 +342,10 @@ def _missing_adam_tensor(ckpt):
     del ckpt.tensors[min(k for k in ckpt.tensors if k.startswith("adam.m."))]
 
 
-@pytest.mark.parametrize("damage", [_drop_tokenizer, _chars_not_a_list, _chars_not_strings],
-                         ids=["no_tokenizer", "chars_not_a_list", "chars_not_strings"])
+@pytest.mark.parametrize("damage", [_drop_tokenizer, _chars_not_a_list, _chars_not_strings,
+                                    _mel_stats_79_wide, _mel_mean_nan, _mel_std_zero],
+                         ids=["no_tokenizer", "chars_not_a_list", "chars_not_strings",
+                              "mel_stats_79_wide", "mel_mean_nan", "mel_std_zero"])
 def test_transcribe_with_damaged_metadata_exit_3(damage, trained, toy_corpus, tmp_path):
     out, _ = trained
     _, entries = toy_corpus

@@ -298,4 +298,150 @@ def test_no_grad_blocks_tape():
     x = nc.param(np.ones(3))
     with nc.no_grad():
         y = (x * 2.0).sum()
+        others = [x * 2.0, ops.linear(x.reshape(1, 3), x.reshape(3, 1)), ops.softmax(x)]
     assert y._backward is None and not y.requires_grad
+    for y in [y] + others:
+        assert y._parents == () and y._backward is None
+        assert not y.requires_grad and y.grad is None
+
+
+def _composed_attention(q, k, v, num_heads, mask=None, keep=None):
+    """Reference: the attention ops.attention fuses, built from separate
+    tape ops (split heads, q k^T, scale, add_mask, softmax, keep, @ v,
+    merge heads)."""
+    *lead, Tq, d = q.shape
+    n, dh = len(lead), d // num_heads
+    heads = (*range(n), n + 1, n, n + 2)
+
+    def split(x):
+        return x.reshape(*lead, x.shape[-2], num_heads, dh).transpose(*heads)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = (qh @ kh.transpose(*range(n + 1), n + 2, n + 1)) * (1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = ops.add_mask(scores, mask)
+    weights = ops.softmax(scores, axis=-1)
+    if keep is not None:
+        weights = ops.mul_const(weights, keep)
+    return (weights @ vh).transpose(*heads).reshape(*lead, Tq, d)
+
+
+def _causal_padded_mask(rng, lead, T):
+    """A causal mask plus key padding at random lengths, (*lead, 1, T, T)."""
+    lengths = rng.integers(1, T + 1, size=lead)
+    banned = (np.arange(T) >= lengths[..., None])[..., None, None, :]
+    banned = banned | np.triu(np.ones((T, T), bool), k=1)
+    return np.where(banned, -1e9, 0.0)
+
+
+class TestFusedAttention:
+    """ops.attention: finite differences in 64-bit mode, and bit-for-bit
+    agreement with the composed ops in 32-bit mode."""
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)], ids=["3d", "4d"])
+    @pytest.mark.parametrize("frozen", [None, "q", "k", "v"])
+    def test_gradient(self, lead, frozen):
+        rng = np.random.default_rng(30)
+        T, d, h = 5, 8, 2
+        with nc.use_dtype(np.float64):
+            qkv = {name: (nc.as_tensor if name == frozen else nc.param)(rand(rng, *lead, T, d))
+                   for name in "qkv"}
+            mask = _causal_padded_mask(rng, lead, T)
+            keep = ops.dropout_mask((*lead, h, T, T), 0.3, rng, np.float64)
+            wts = nc.as_tensor(rand(rng, *lead, T, d))
+            trained = {name: t for name, t in qkv.items() if name != frozen}
+            report = nc.grad_check(
+                lambda: (ops.attention(qkv["q"], qkv["k"], qkv["v"], h, mask, keep)
+                         * wts).sum(), trained)
+            assert report.max_rel_error < 1e-5, report.per_param
+            if frozen is not None:
+                assert qkv[frozen].grad is None
+
+    def test_gradient_with_key_lengths_and_cross_lengths(self):
+        """Through layers.attention's key-padding mask, with Tq != Tk."""
+        from prefixasr.layers import attention
+        rng = np.random.default_rng(31)
+        with nc.use_dtype(np.float64):
+            q = nc.param(rand(rng, 3, 4, 6))
+            k, v = nc.param(rand(rng, 3, 7, 6)), nc.param(rand(rng, 3, 7, 6))
+            keep = ops.dropout_mask((3, 3, 4, 7), 0.2, rng, np.float64)
+            wts = nc.as_tensor(rand(rng, 3, 4, 6))
+            report = nc.grad_check(
+                lambda: (attention(q, k, v, 3, key_lengths=[7, 2, 5], keep=keep)
+                         * wts).sum(), {"q": q, "k": k, "v": v})
+            assert report.max_rel_error < 1e-5, report.per_param
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["2d", "3d", "4d"])
+    def test_matches_composed_ops_bit_for_bit(self, lead):
+        rng = np.random.default_rng(32)
+        T, d, h = 9, 16, 4
+        mask = _causal_padded_mask(rng, lead, T).astype(np.float32)
+        keep = ops.dropout_mask((*lead, h, T, T), 0.1, rng, np.float32)
+        g = rand(rng, *lead, T, d).astype(np.float32)
+        results = []
+        for build in (ops.attention, _composed_attention):
+            gen = np.random.default_rng(33)
+            q, k, v = (nc.param(rand(gen, *lead, T, d).astype(np.float32)) for _ in range(3))
+            out = build(q, k, v, h, mask, keep)
+            out.backward(g)
+            assert out.data.dtype == np.float32
+            results.append([out.data, q.grad, k.grad, v.grad])
+        for fused, composed in zip(*results):
+            np.testing.assert_array_equal(fused, composed)
+
+
+class TestLoraLinear:
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 3, 6)], ids=["2d", "3d"])
+    def test_gradient_frozen_base(self, shape):
+        rng = np.random.default_rng(34)
+        with nc.use_dtype(np.float64):
+            x = nc.param(rand(rng, *shape))
+            w, b = nc.as_tensor(rand(rng, 6, 4)), nc.as_tensor(rand(rng, 4))
+            down, up = nc.param(rand(rng, 6, 2)), nc.param(rand(rng, 2, 4))
+            wts = nc.as_tensor(rand(rng, *shape[:-1], 4))
+            report = nc.grad_check(
+                lambda: (ops.lora_linear(x, w, b, down, up, 8.0) * wts).sum(),
+                {"x": x, "down": down, "up": up})
+            assert report.max_rel_error < 1e-5, report.per_param
+            assert w.grad is None and b.grad is None
+
+    def test_gradient_trained_base(self):
+        rng = np.random.default_rng(35)
+        with nc.use_dtype(np.float64):
+            x, w, b = nc.param(rand(rng, 4, 5)), nc.param(rand(rng, 5, 3)), nc.param(rand(rng, 3))
+            down, up = nc.param(rand(rng, 5, 2)), nc.param(rand(rng, 2, 3))
+            wts = nc.as_tensor(rand(rng, 4, 3))
+            report = nc.grad_check(
+                lambda: (ops.lora_linear(x, w, b, down, up, 0.5) * wts).sum(),
+                {"x": x, "w": w, "b": b, "down": down, "up": up})
+            assert report.max_rel_error < 1e-5, report.per_param
+
+    def test_matches_composed_ops_bit_for_bit(self):
+        rng = np.random.default_rng(36)
+        x, w, b = (nc.as_tensor(rand(rng, *s).astype(np.float32)) for s in ((7, 6), (6, 4), (4,)))
+        down, up = (nc.as_tensor(rand(rng, *s).astype(np.float32)) for s in ((6, 2), (2, 4)))
+        composed = ops.linear(x, w, b) + ((x @ down) @ up) * 8.0
+        fused = ops.lora_linear(x, w, b, down, up, 8.0)
+        assert fused.data.dtype == np.float32
+        np.testing.assert_array_equal(fused.data, composed.data)
+
+
+class TestMake:
+    """Op results are built without Tensor.__init__ (see also
+    test_no_grad_blocks_tape)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_preserved(self, dtype):
+        with nc.use_dtype(dtype):
+            x, w, b = nc.param(np.ones((2, 3))), nc.param(np.ones((3, 2))), nc.param(np.ones(2))
+            for y in (x * 2.0, ops.exp(x), ops.layer_norm(x, x.sum(axis=0), x.mean(axis=0)),
+                      x.sum(), ops.lora_linear(x, w, b, w, w.transpose() @ w, 2.0),
+                      ops.attention(x, x, x, 1)):
+                assert y.data.dtype == dtype
+
+    def test_reductions_are_arrays(self):
+        x = nc.param(np.arange(6.0).reshape(2, 3))
+        for y in (x.sum(), x.mean(), x.sum() * 2.0, -x.mean(), ops.exp(x.sum())):
+            assert type(y.data) is np.ndarray and y.shape == ()
+            assert isinstance(y.item(), float)
+        assert (x.sum() * 2.0).item() == 30.0
