@@ -154,9 +154,8 @@ def cmd_inspect_ckpt(args) -> int:
     ckpt = _load_ckpt(args.ckpt)
     print(f"config digest: {ckpt.digest}")
     print(f"file digest:   {file_digest(args.ckpt)}")
-    for key in ("stage", "merged_lora"):
-        if key in ckpt.metadata:
-            print(f"{key}: {ckpt.metadata[key]}")
+    if "stage" in ckpt.metadata:
+        print(f"stage: {ckpt.metadata['stage']}")
     total = 0
     for name in sorted(ckpt.tensors):
         arr = ckpt.tensors[name]

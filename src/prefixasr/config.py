@@ -152,6 +152,9 @@ class TrainingSection:
 class EvalSection:
     max_decode_tokens: int = 200
 
+    def __post_init__(self):
+        _check_min(self, 0, "max_decode_tokens")
+
 
 @dataclass
 class RunConfig:

@@ -18,7 +18,7 @@ from .layers import (attention, causal_mask, dropout_keeps, init_bias,
                      init_embedding, init_ones, init_weight)
 from .numcore import Tensor, no_grad, ops, param
 from .numcore.rng import generator
-from .tokenizer import BOS, EOS, PAD, UNK
+from .tokenizer import BOS, EOS
 
 MAX_DECODE_TOKENS = 200
 
@@ -29,8 +29,6 @@ LORA_TARGETS = ("wq", "wk", "wv", "wo")
 class LmConfig(LmSection):
     """The config section plus what the tokenizer decides."""
     vocab_size: int
-    pad_id: int = PAD
-    unk_id: int = UNK
     bos_id: int = BOS
     eos_id: int = EOS
 

@@ -1,20 +1,25 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 Everything is a flat numpy array wrapped in a ``Tensor``. Ops build a tape of
-backward closures; ``Tensor.backward()`` walks it in reverse topological
-order. Compute dtype is float32 by default and switchable to float64 for
-gradient verification (see ``use_dtype``).
+backward closures, each node stamped with its creation number, and
+``Tensor.backward()`` pops the nodes newest-first. Compute dtype is float32 by
+default and switchable to float64 for gradient verification (see
+``use_dtype``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
+# creation numbers: a tensor is always made after the tensors it is made from
+_CLOCK = itertools.count()
 
 
 def default_dtype():
@@ -49,17 +54,18 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_order")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_DEFAULT_DTYPE)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
+        self.requires_grad = False
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        self._order = next(_CLOCK)
 
     @property
     def shape(self):
@@ -75,46 +81,35 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
     def backward(self, seed: np.ndarray | None = None):
+        """Pop tape nodes newest-first. Every consumer of a node was made after
+        it, so a node pops only once all its gradient has arrived. A later
+        contribution is summed out of place: ops may hand the same array to
+        several parents."""
         if seed is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without seed needs a scalar")
             seed = np.ones_like(self.data)
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
+        if not self.requires_grad:
+            return
+        pending = {self: np.asarray(seed, dtype=self.data.dtype)}
+        heap = [(-self._order, self)]
+        while heap:
+            node = heapq.heappop(heap)[1]
+            g = pending.pop(node)
+            if node._backward is None:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
                 continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(self): np.asarray(seed, dtype=self.data.dtype)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad and node._backward is None:
-                node._accumulate(g)
-            if node._backward is not None:
-                for parent, pg in node._backward(g):
-                    if not parent.requires_grad:
-                        continue
-                    if id(parent) in grads:
-                        grads[id(parent)] += pg
-                    else:
-                        grads[id(parent)] = pg
+            for parent, pg in node._backward(g):
+                if not parent.requires_grad:
+                    continue
+                if parent in pending:
+                    pending[parent] = pending[parent] + pg
+                else:
+                    pending[parent] = pg
+                    heapq.heappush(heap, (-parent._order, parent))
 
     # operator sugar; implementations live in ops.py (imported at the bottom)
     def __add__(self, other):
@@ -182,6 +177,7 @@ def make(data: np.ndarray, parents: Sequence[Tensor],
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
+        out._order = next(_CLOCK)
     else:
         out.requires_grad = False
         out._parents = ()

@@ -82,8 +82,9 @@ class AsrSystem:
                    max_len: int | None = None) -> str:
         with no_grad():
             audio = self.embed_audio(features)
-            ids = self.lm.greedy_decode(
-                audio, max_len=max_len or self.cfg.eval.max_decode_tokens)
+            if max_len is None:
+                max_len = self.cfg.eval.max_decode_tokens
+            ids = self.lm.greedy_decode(audio, max_len=max_len)
         return self.tokenizer.decode(ids)
 
     # -- checkpoint interop ------------------------------------------------
@@ -142,8 +143,8 @@ class AsrSystem:
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint, seed: int = 0) -> "AsrSystem":
         """Load a trained system for inference. The LoRA adapters are folded
-        into the LM base once, here: the result is the rank-0 system that
-        loading merged_checkpoint() gives, and it saves as that checkpoint."""
+        into the LM base once, here: the result is a rank-0 system, and its
+        to_checkpoint() is the merged checkpoint."""
         system = cls.from_encoder_checkpoint(from_dict(ckpt.config), ckpt, seed=seed)
         system.load_tensors(ckpt.tensors)
         lm = system.lm
@@ -152,15 +153,3 @@ class AsrSystem:
         lm.lora, lm.lora_scale = {}, 0.0
         system.cfg.lora.rank = 0
         return system
-
-    def merged_checkpoint(self, metadata: dict | None = None) -> ModelCheckpoint:
-        """Adapters folded into the LM base; no "lora.*" keys remain."""
-        tensors = {k: v for k, v in self.all_tensors().items()
-                   if not k.startswith("lora.")}
-        for name, t in self.lm.merged_params().items():
-            tensors["lm." + name] = t.data
-        cfg = from_dict(self.cfg.to_dict())
-        cfg.lora.rank = 0
-        meta = {"tokenizer": self.tokenizer.to_dict(), "merged_lora": True}
-        meta.update(metadata or {})
-        return ModelCheckpoint(config=cfg.to_dict(), tensors=tensors, metadata=meta)

@@ -190,6 +190,7 @@ def test_bad_config_override_exit_2(toy_corpus, tmp_path):
     "training.eval_interval=0",
     "encoder.d_model=abc",
     "lora.rank=-1",
+    "eval.max_decode_tokens=-1",
     "training.valid_fraction=1.0",
     "training.valid_fraction=-0.5",
     "encoder.d_model=0",

@@ -305,6 +305,70 @@ def test_no_grad_blocks_tape():
         assert not y.requires_grad and y.grad is None
 
 
+def _linear_dag(leaves, program, roots):
+    """Loss of a linear graph over (2, 3) leaves. Each program step appends
+    one tensor to the pool, built from pool entries picked modulo its size;
+    the loss adds up the .sum() of the pool entries named in roots."""
+    pool = list(leaves)
+    for op, i, j, c in program:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "add":
+            t = a + b
+        elif op == "sub":
+            t = a - b
+        elif op == "mul":
+            t = a * float(c)
+        elif op == "reshape":
+            t = a.reshape(6).reshape(3, 2).reshape(2, 3)
+        else:  # concat, then narrow back to (2, 3) at offset c
+            axis = c % 2
+            t = ops.narrow(ops.concat([a, b], axis=axis), axis, c % (a.shape[axis] + 1),
+                           a.shape[axis])
+        pool.append(t)
+    loss = pool[roots[0] % len(pool)].sum()
+    for r in roots[1:]:
+        loss = loss + pool[r % len(pool)].sum()
+    return loss
+
+
+class TestBackwardSharedGradients:
+    """Ops such as add, reshape and concat hand views of one gradient array to
+    several parents; backward must not add later contributions into it."""
+
+    def test_reused_operand(self):
+        x, y = nc.param([1.0]), nc.param([1.0])
+        ((x + y) + y).sum().backward()
+        assert x.grad.tolist() == [1.0] and y.grad.tolist() == [2.0]
+
+    @given(st.lists(st.tuples(st.sampled_from(["add", "sub", "mul", "reshape", "concat"]),
+                              st.integers(0, 20), st.integers(0, 20), st.integers(-3, 3)),
+                    min_size=1, max_size=12),
+           st.lists(st.integers(0, 20), min_size=1, max_size=4),
+           st.integers(1, 3))
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def test_linear_graphs_exact(self, program, roots, num_leaves):
+        """The graphs are linear over small integers in float64, so each leaf
+        gradient equals the loss change under a unit step, exactly."""
+        with nc.use_dtype(np.float64):
+            rng = np.random.default_rng(len(program))
+            base = [rng.integers(-3, 4, size=(2, 3)).astype(np.float64)
+                    for _ in range(num_leaves)]
+            leaves = [nc.param(a) for a in base]
+            loss = _linear_dag(leaves, program, roots)
+            loss.backward()
+            f0 = loss.item()
+            with nc.no_grad():
+                for n, leaf in enumerate(leaves):
+                    expected = np.zeros((2, 3))
+                    for idx in np.ndindex(2, 3):
+                        data = [a.copy() for a in base]
+                        data[n][idx] += 1.0
+                        expected[idx] = _linear_dag(
+                            [nc.as_tensor(a) for a in data], program, roots).item() - f0
+                    got = leaf.grad if leaf.grad is not None else np.zeros((2, 3))
+                    np.testing.assert_array_equal(got, expected)
+
+
 def _composed_attention(q, k, v, num_heads, mask=None, keep=None):
     """Reference: the attention ops.attention fuses, built from separate
     tape ops (split heads, q k^T, scale, add_mask, softmax, keep, @ v,

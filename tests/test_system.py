@@ -119,7 +119,7 @@ def test_merged_checkpoint_matches_adapter_forward():
     system = make_system()
     randomize_adapters(system, scale=0.02)
     f = feats()
-    merged = AsrSystem.from_checkpoint(system.merged_checkpoint())
+    merged = AsrSystem.from_checkpoint(system.to_checkpoint())
     assert merged.cfg.lora.rank == 0
     assert not any(k.startswith("lora.") for k in merged.all_tensors())
     np.testing.assert_allclose(merged.joint_loss(f, "abc").item(),
@@ -152,14 +152,24 @@ def test_loaded_system_decodes_as_the_unfolded_one():
 
 
 def test_loaded_system_saves_as_merged_checkpoint():
+    """A loaded system saves the adapters folded into the LM base, with no
+    lora.* tensors and lora.rank 0."""
     system = make_system()
     randomize_adapters(system)
     saved = AsrSystem.from_checkpoint(system.to_checkpoint()).to_checkpoint()
-    merged = system.merged_checkpoint()
-    assert saved.config == merged.config
-    assert saved.tensors.keys() == merged.tensors.keys()
-    for name, arr in merged.tensors.items():
+    merged = {k: v for k, v in system.all_tensors().items() if not k.startswith("lora.")}
+    merged.update({"lm." + k: t.data for k, t in system.lm.merged_params().items()})
+    config = system.cfg.to_dict()
+    config["lora"]["rank"] = 0
+    assert saved.config == config
+    assert saved.tensors.keys() == merged.keys()
+    for name, arr in merged.items():
         np.testing.assert_array_equal(saved.tensors[name], arr)
+
+
+def test_transcribe_max_len_zero_decodes_nothing():
+    system = make_system()
+    assert system.transcribe(feats(), max_len=0) == ""
 
 
 def test_transcribe_is_deterministic():
