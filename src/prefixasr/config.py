@@ -28,6 +28,7 @@ LM_PRESETS = {
     "small": dict(d_llm=192, num_layers=4, num_heads=4, ffn_dim=384, max_positions=512),
     "base": dict(d_llm=256, num_layers=6, num_heads=8, ffn_dim=512, max_positions=768),
 }
+MAX_DECODE_TOKENS = 200  # the default cap on greedy-decoded tokens
 
 
 def _check_min(section, low: int, *names: str) -> None:
@@ -150,7 +151,7 @@ class TrainingSection:
 
 @dataclass
 class EvalSection:
-    max_decode_tokens: int = 200
+    max_decode_tokens: int = MAX_DECODE_TOKENS
 
     def __post_init__(self):
         _check_min(self, 0, "max_decode_tokens")

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LmSection
+from .config import MAX_DECODE_TOKENS, LmSection
 from .frontend import AudioError
 from .layers import (attention, causal_mask, dropout_keeps, init_bias,
                      init_embedding, init_ones, init_weight)
 from .numcore import Tensor, no_grad, ops, param
 from .numcore.rng import generator
 from .tokenizer import BOS, EOS
-
-MAX_DECODE_TOKENS = 200
 
 LORA_TARGETS = ("wq", "wk", "wv", "wo")
 
@@ -92,10 +90,10 @@ class DecoderLM:
         q, k, v = (self._proj(h, pre + name) for name in ("wq", "wk", "wv"))
         if cache is not None:
             kbuf, vbuf, n = cache[i]
-            end = n + k.shape[0]
-            kbuf[n:end], vbuf[n:end] = k.data, v.data
+            end = n + k.shape[1]
+            kbuf[:, n:end], vbuf[:, n:end] = k.data, v.data
             cache[i] = (kbuf, vbuf, end)
-            k, v = Tensor(kbuf[:end]), Tensor(vbuf[:end])
+            k, v = Tensor(kbuf[:, :end]), Tensor(vbuf[:, :end])
         att = attention(q, k, v, self.config.num_heads, mask=mask, keep=att_keep)
         x = x + self._proj(att, pre + "wo")
         h = ops.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
@@ -105,41 +103,54 @@ class DecoderLM:
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
-    def _logits(self, x: Tensor, mask: np.ndarray | None, cache: list | None = None,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """Per-position logits of the embedded sequence x (layers, final norm,
-        output projection). With a cache, x extends the cached keys/values.
-        Dropout runs only with an rng."""
+    def _logits(self, x: Tensor, lengths: list[int], mask: np.ndarray | None,
+                cache: list | None = None, rng: np.random.Generator | None = None) -> Tensor:
+        """Per-position logits (B, S, vocab) of the embedded right-padded rows
+        x (B, S, d) whose items have `lengths` positions: layers, final norm,
+        output projection. The causal mask is the only mask: a valid query
+        never sees the padded keys after it. With a cache, x extends the
+        cached keys/values. Dropout runs only with an rng."""
         cfg = self.config
         keeps = dropout_keeps(rng, cfg.dropout, cfg.num_layers, cfg.num_heads,
-                              cfg.ffn_dim, x.shape[0], x.data.dtype)
+                              cfg.ffn_dim, lengths, x.data.dtype)
         for i, (att_keep, ffn_keep) in enumerate(keeps):
             x = self._block(i, x, mask, cache, att_keep, ffn_keep)
         x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
         return ops.linear(x, self.params["out.w"], self.params["out.b"])
 
-    def _embed(self, audio_embeds: Tensor | None, text_ids,
-               pos_offset: int = 0) -> Tensor:
+    def _embed(self, audio_list: list[Tensor | None], ids_list: list,
+               pos_offset: int = 0) -> tuple[Tensor, list[int]]:
+        """Rows [audio_i || ids_i] right-padded with zeros to (B, S, d), S the
+        longest, with positions pos_offset.. added; and each row's length."""
+        cfg = self.config
+        tok = self.params["tok"]
+        lengths = [(0 if a is None else a.shape[0]) + len(ids)
+                   for a, ids in zip(audio_list, ids_list)]
+        S = max(lengths)
         parts = []
-        if audio_embeds is not None and audio_embeds.shape[0] > 0:
-            parts.append(audio_embeds)
-        if len(text_ids) > 0:
-            parts.append(ops.embedding(self.params["tok"], np.asarray(text_ids)))
-        if not parts:
-            raise ValueError("empty mixed sequence")
+        for audio, ids, n in zip(audio_list, ids_list, lengths):
+            m = n - len(ids)
+            if n == 0:
+                raise ValueError("empty mixed sequence")
+            if pos_offset + n > cfg.max_positions:
+                raise AudioError(f"sequence overflow: audio={m} + text={len(ids)}"
+                                 f" exceeds max_positions={cfg.max_positions}")
+            if m:
+                parts.append(audio)
+            if len(ids):
+                parts.append(ops.embedding(tok, np.asarray(ids)))
+            if n < S:
+                parts.append(Tensor(np.zeros((S - n, cfg.d_llm), tok.data.dtype)))
         x = parts[0] if len(parts) == 1 else ops.concat(parts, axis=0)
-        S = x.shape[0]
-        if pos_offset + S > self.config.max_positions:
-            raise AudioError(
-                f"sequence overflow: audio={0 if audio_embeds is None else audio_embeds.shape[0]}"
-                f" + text={len(text_ids)} exceeds max_positions={self.config.max_positions}")
-        return x + ops.narrow(self.params["pos"], 0, pos_offset, S)
+        x = x.reshape(len(lengths), S, cfg.d_llm)
+        return x + ops.narrow(self.params["pos"], 0, pos_offset, S), lengths
 
     def forward_mixed(self, audio_embeds: Tensor | None, text_ids,
                       rng: np.random.Generator | None = None) -> Tensor:
         """Per-position logits for [audio || text] under a causal mask."""
-        x = self._embed(audio_embeds, text_ids)
-        return self._logits(x, causal_mask(x.shape[0], dtype=x.data.dtype), rng=rng)
+        x, lengths = self._embed([audio_embeds], [text_ids])
+        logits = self._logits(x, lengths, causal_mask(x.shape[1], dtype=x.data.dtype), rng=rng)
+        return logits.reshape(*logits.shape[1:])
 
     def loss_mixed(self, audio_embeds: Tensor | None, text_tokens,
                    rng: np.random.Generator | None = None,
@@ -156,8 +167,7 @@ class DecoderLM:
         targets = list(text_tokens) + [cfg.eos_id]
         M = 0 if audio_embeds is None else audio_embeds.shape[0]
         logits = self.forward_mixed(audio_embeds, inputs, rng=rng)
-        text_logits = ops.narrow(logits, 0, M, len(targets))
-        logp = ops.log_softmax(text_logits)
+        logp = ops.log_softmax(ops.narrow(logits, 0, M, len(targets)))
         picked = ops.gather_rows(logp, np.asarray(targets))
         return -picked.mean()
 
@@ -166,27 +176,27 @@ class DecoderLM:
         """Deterministic argmax decoding with an incremental KV cache: the
         first step runs [audio || bos] under a causal mask, each later step
         runs the last token alone. Each layer's cache is one K and one V
-        buffer over the whole position table plus its filled length; a step
-        writes its rows in place. Stops at max_len tokens, at eos, or when
-        the position table is full."""
+        buffer (1, max_positions, d) over the whole position table plus its
+        filled length; a step writes its rows in place. Stops at max_len
+        tokens, at eos, or when the position table is full."""
         cfg = self.config
         with no_grad():
-            x = self._embed(audio_embeds, [cfg.bos_id])
-            shape, dtype = (cfg.max_positions, cfg.d_llm), x.data.dtype
+            x, lengths = self._embed([audio_embeds], [[cfg.bos_id]])
+            shape, dtype = (1, cfg.max_positions, cfg.d_llm), x.data.dtype
             cache = [(np.empty(shape, dtype), np.empty(shape, dtype), 0)
                      for _ in range(cfg.num_layers)]
-            pos = x.shape[0]
-            mask = causal_mask(pos, dtype=x.data.dtype)
+            pos, mask = x.shape[1], causal_mask(x.shape[1], dtype=dtype)
             out: list[int] = []
             while True:
-                next_id = int(self._logits(x, mask, cache).data[-1].argmax())
+                next_id = int(self._logits(x, lengths, mask, cache).data[0, -1].argmax())
                 if len(out) >= max_len or next_id == cfg.eos_id:
                     return out
                 out.append(next_id)
                 if pos >= cfg.max_positions - 1:
                     return out
-                x, mask = self._embed(None, [next_id], pos_offset=pos), None
-                pos += 1
+                x = ops.embedding(self.params["tok"], np.array([[next_id]]))
+                x = x + ops.narrow(self.params["pos"], 0, pos, 1)
+                lengths, mask, pos = [1], None, pos + 1
 
     def merged_params(self) -> dict[str, Tensor]:
         """Base weights with every adapter folded in; adapter-free forward."""

@@ -97,7 +97,7 @@ class ConformerEncoder:
                         ffn_keep: np.ndarray | None = None) -> Tensor:
         """One block over (U, d) or a padded batch (B, U, d) whose items have
         the given lengths; the keep masks are dropout masks (see
-        _dropout_keeps)."""
+        layers.dropout_keeps)."""
         p = self.params
         pre = f"block{i}."
         cfg = self.config
@@ -125,24 +125,6 @@ class ConformerEncoder:
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
-    def _dropout_keeps(self, lengths: list[int], U: int,
-                       rng: np.random.Generator | None, dtype) -> list[tuple]:
-        """(attention keep, FFN keep) per block for a batch whose items have
-        `lengths` frames, padded to U: each item's masks come from
-        layers.dropout_keeps, item by item, and padding gets 0."""
-        cfg = self.config
-        L, B, h, f = cfg.num_layers, len(lengths), cfg.num_heads, cfg.ffn_dim
-        if rng is None or cfg.dropout <= 0.0:
-            return [(None, None)] * L
-        att = np.zeros((L, B, h, U, U), dtype)
-        ffn = np.zeros((L, B, U, f), dtype)
-        for b, u in enumerate(lengths):
-            keeps = dropout_keeps(rng, cfg.dropout, L, h, f, u, dtype)
-            for i, (att_keep, ffn_keep) in enumerate(keeps):
-                att[i, b, :, :u, :u] = att_keep
-                ffn[i, b, :u] = ffn_keep
-        return list(zip(att, ffn))
-
     def forward(self, features: Sequence[FeatureMatrix],
                 rng: np.random.Generator | None = None) -> Tensor:
         """Encode the utterances as one zero-padded (B, T, 80) batch ->
@@ -150,16 +132,18 @@ class ConformerEncoder:
 
         Rows past an item's output length hold junk that a loss must ignore.
         """
+        cfg = self.config
         lengths = [f.frames.shape[0] for f in features]
         dtype = self.params["ctc.w"].data.dtype
-        frames = np.zeros((len(features), max(lengths), self.config.num_features), dtype)
+        frames = np.zeros((len(features), max(lengths), cfg.num_features), dtype)
         for row, f in zip(frames, features):
             row[:len(f.frames)] = f.frames
         x = self.subsample(Tensor(frames), lengths)
         U = x.shape[-2]
         out_lengths = self.output_lengths(lengths)
         padded = out_lengths if min(out_lengths) < U else None
-        keeps = self._dropout_keeps(out_lengths, U, rng, dtype)
+        keeps = dropout_keeps(rng, cfg.dropout, cfg.num_layers, cfg.num_heads,
+                              cfg.ffn_dim, out_lengths, dtype)
         for i, (att_keep, ffn_keep) in enumerate(keeps):
             x = self.conformer_block(i, x, padded, att_keep, ffn_keep)
         return x

@@ -39,17 +39,23 @@ def init_embedding(rng: np.random.Generator, num: int, dim: int) -> Tensor:
 
 
 def dropout_keeps(rng: np.random.Generator | None, p: float, num_layers: int,
-                  num_heads: int, ffn_dim: int, length: int,
+                  num_heads: int, ffn_dim: int, lengths: Sequence[int],
                   dtype) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
-    """Dropout keep masks for one sequence of `length` positions: per block,
-    (attention keep (h, length, length), FFN keep (length, ffn_dim)), drawn
-    block by block, attention first. All None when there is no rng (not
+    """Dropout keep masks for a right-padded batch whose items have `lengths`
+    positions, S = max(lengths): per block, (attention keep (B, h, S, S),
+    FFN keep (B, S, ffn_dim)). Drawn item by item, then block by block,
+    attention first; padding gets 0. All None when there is no rng (not
     training) or p is 0; then nothing is drawn."""
     if rng is None or p <= 0.0:
         return [(None, None)] * num_layers
-    return [(ops.dropout_mask((num_heads, length, length), p, rng, dtype),
-             ops.dropout_mask((length, ffn_dim), p, rng, dtype))
-            for _ in range(num_layers)]
+    B, S = len(lengths), max(lengths)
+    att = np.zeros((num_layers, B, num_heads, S, S), dtype)
+    ffn = np.zeros((num_layers, B, S, ffn_dim), dtype)
+    for b, n in enumerate(lengths):
+        for i in range(num_layers):
+            att[i, b, :, :n, :n] = ops.dropout_mask((num_heads, n, n), p, rng, dtype)
+            ffn[i, b, :n] = ops.dropout_mask((n, ffn_dim), p, rng, dtype)
+    return list(zip(att, ffn))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,

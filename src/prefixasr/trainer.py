@@ -77,8 +77,7 @@ def read_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
-def mask_tokens(text_ids, fraction: float, rng: np.random.Generator,
-                unk_id: int = UNK) -> list[int]:
+def mask_tokens(text_ids, fraction: float, rng: np.random.Generator) -> list[int]:
     """Replace each non-special token by unk with probability `fraction`.
 
     Input-side only; callers keep the original ids as prediction targets.
@@ -86,7 +85,7 @@ def mask_tokens(text_ids, fraction: float, rng: np.random.Generator,
     if fraction <= 0.0:
         return list(text_ids)
     draws = rng.random(len(text_ids))
-    return [unk_id if (i >= NUM_SPECIALS and d < fraction) else i
+    return [UNK if (i >= NUM_SPECIALS and d < fraction) else i
             for i, d in zip(text_ids, draws)]
 
 
@@ -135,9 +134,9 @@ def prepare_corpus(entries: list[ManifestEntry]) -> list[PreparedUtterance]:
 
 
 def split_indices(n: int, valid_fraction: float, seed: int):
-    """Deterministic held-out split; empty validation at fraction 0."""
+    """Deterministic held-out split: none held out at fraction 0, never all."""
     order = generator(seed, "split").permutation(n)
-    n_valid = int(round(n * valid_fraction))
+    n_valid = min(int(round(n * valid_fraction)), n - 1)
     if valid_fraction > 0 and n > 1:
         n_valid = max(1, n_valid)
     return sorted(order[n_valid:].tolist()), sorted(order[:n_valid].tolist())

@@ -388,3 +388,13 @@ def test_pretrain_with_vanishing_sampling_weights(toy_corpus, fast_cfg_file, tmp
     assert run("pretrain", "--config", fast_cfg_file, "--set", "training.sampling_alpha=400.0",
                "--set", "training.pretrain.max_steps=2", "--manifest", str(manifest),
                "--out-dir", str(tmp_path)) == 0
+
+
+def test_valid_fraction_near_one_keeps_training_data(toy_corpus, fast_cfg_file, tmp_path):
+    """0.95 of the 8-utterance corpus rounds to 8; one must stay for training."""
+    manifest, _ = toy_corpus
+    common = ["--config", fast_cfg_file, "--manifest", str(manifest), "--out-dir",
+              str(tmp_path), "--set", "training.valid_fraction=0.95",
+              "--set", "training.pretrain.max_steps=2", "--set", "training.joint.max_steps=2"]
+    assert run("pretrain", *common) == 0
+    assert run("train", *common, "--ckpt", str(tmp_path / "encoder.ckpt")) == 0

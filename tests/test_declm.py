@@ -3,6 +3,8 @@ import pytest
 
 from prefixasr import numcore as nc
 from prefixasr.declm import DecoderLM, LmConfig
+from prefixasr.frontend import AudioError
+from prefixasr.layers import causal_mask, dropout_keeps
 from prefixasr.numcore import Tensor, generator, ops
 
 
@@ -16,14 +18,19 @@ def audio(rng, M, d=16):
     return Tensor(rng.standard_normal((M, d)).astype(np.float32))
 
 
+def random_up(lm, seed, scale):
+    """Give every adapter's `up` random weights, so adapters are live."""
+    rng = generator(seed, "up")
+    for name, t in lm.lora.items():
+        if name.endswith(".up"):
+            t.data[:] = scale * rng.standard_normal(t.shape).astype(t.data.dtype)
+
+
 def adapted_lm(seed, up_scale=None):
     """A rank-4 tiny LM; with up_scale, every `up` gets random weights."""
     lm = tiny_lm(rank=4, seed=seed)
     if up_scale is not None:
-        rng = generator(seed, "up")
-        for name, t in lm.lora.items():
-            if name.endswith(".up"):
-                t.data[:] = up_scale * rng.standard_normal(t.shape).astype(t.data.dtype)
+        random_up(lm, seed, up_scale)
     return lm
 
 
@@ -134,6 +141,113 @@ class TestForwardMixed:
             params["tok"] = lm.params["tok"]
             report = nc.grad_check(lambda: lm.loss_mixed(a, [4, 6, 5]), params)
             assert report.max_rel_error < 1e-5, report.per_param
+
+
+def batched_losses(lm, audio, texts, rng=None):
+    """One right-padded (B, S) pass over the rows [audio_i || bos || text_i]:
+    the logits and each row's mean next-token loss, taken as loss_mixed
+    takes it."""
+    cfg = lm.config
+    x, lengths = lm._embed(audio, [[cfg.bos_id] + t for t in texts])
+    logits = lm._logits(x, lengths, causal_mask(x.shape[1], dtype=x.data.dtype), rng=rng)
+    losses = []
+    for row, a, t in zip(ops.unbind(logits), audio, texts):
+        M = 0 if a is None else a.shape[0]
+        logp = ops.log_softmax(ops.narrow(row, 0, M, len(t) + 1))
+        losses.append(-ops.gather_rows(logp, np.asarray(t + [cfg.eos_id])).mean())
+    total = losses[0]
+    for loss in losses[1:]:
+        total = total + loss
+    return logits, total
+
+
+class TestBatchedRows:
+    def test_rows_equal_per_row_forward(self):
+        """Three rows of different lengths (S = 8, 3, 7; one without audio)
+        in one padded pass equal a loop of per-row forward_mixed/loss_mixed
+        calls: logits, gradients and the dropout RNG's end position."""
+        with nc.use_dtype(np.float64):
+            lm = tiny_lm(rank=2, seed=10, dropout=0.1)
+            random_up(lm, 10, 0.5)
+            rng = generator(10, "rows")
+            audio = [nc.param(rng.standard_normal((M, 16))) if M else None
+                     for M in (3, 0, 5)]
+            texts = [[5, 6, 7, 8], [4, 9], [6]]
+            trainable = {f"audio{i}": a for i, a in enumerate(audio) if a is not None}
+            trainable.update(lm.lora)
+
+            drop = generator(10, "drop")
+            logits, total = batched_losses(lm, audio, texts, drop)
+            total.backward()
+            batched = {name: t.grad for name, t in trainable.items()}
+
+            row_drop = generator(10, "drop")
+            for i, (a, t) in enumerate(zip(audio, texts)):
+                row = lm.forward_mixed(a, [lm.config.bos_id] + t, rng=row_drop).data
+                np.testing.assert_allclose(logits.data[i, :row.shape[0]], row,
+                                           rtol=0, atol=1e-12)
+            assert drop.random() == row_drop.random()
+
+            for t in trainable.values():
+                t.grad = None
+            loop_drop = generator(10, "drop")
+            loop_total = lm.loss_mixed(audio[0], texts[0], rng=loop_drop)
+            for a, t in zip(audio[1:], texts[1:]):
+                loop_total = loop_total + lm.loss_mixed(a, t, rng=loop_drop)
+            np.testing.assert_allclose(total.data, loop_total.data, rtol=0, atol=1e-12)
+            loop_total.backward()
+            for name, t in trainable.items():
+                assert np.any(batched[name] != 0.0), name
+                np.testing.assert_allclose(batched[name], t.grad, rtol=0, atol=1e-12,
+                                           err_msg=name)
+
+    def test_padded_batch_gradient_check(self):
+        """Finite differences on a B = 2 padded batch with dropout: catches an
+        op defect that the batched and the per-row path would share."""
+        with nc.use_dtype(np.float64):
+            cfg = LmConfig(vocab_size=8, d_llm=8, num_layers=1, num_heads=2,
+                           ffn_dim=12, max_positions=32, dropout=0.1)
+            lm = DecoderLM(cfg, seed=11, lora_rank=2)
+            random_up(lm, 11, 0.5)
+            rng = generator(11, "rows")
+            audio = [nc.param(rng.standard_normal((M, 8))) for M in (3, 1)]
+            params = {"audio0": audio[0], "audio1": audio[1], "tok": lm.params["tok"]}
+            params.update(lm.lora)
+            report = nc.grad_check(
+                lambda: batched_losses(lm, audio, [[4, 6], [5, 4, 7, 6]],
+                                       generator(11, "drop"))[1], params)
+            assert report.max_rel_error < 1e-5, report.per_param
+
+    def test_overflow_is_checked_per_row(self):
+        lm = tiny_lm()
+        rng = np.random.default_rng(12)
+        with pytest.raises(AudioError, match="audio=60 \\+ text=5"):
+            lm._embed([audio(rng, 2), audio(rng, 60)], [[2, 3], [2] * 5])
+
+
+class TestDropoutKeeps:
+    def test_padding_is_zero_and_rows_are_per_item_draws(self):
+        """Per item, then per block, attention before FFN; 0 in padding."""
+        lengths, h, f = [3, 5, 1], 2, 4
+        rng = generator(0, "keep")
+        keeps = dropout_keeps(rng, 0.3, 2, h, f, lengths, np.float64)
+        ref = generator(0, "keep")
+        for b, n in enumerate(lengths):
+            for att, ffn in keeps:
+                assert att.shape == (3, h, 5, 5) and ffn.shape == (3, 5, f)
+                np.testing.assert_array_equal(
+                    att[b, :, :n, :n], ops.dropout_mask((h, n, n), 0.3, ref, np.float64))
+                np.testing.assert_array_equal(
+                    ffn[b, :n], ops.dropout_mask((n, f), 0.3, ref, np.float64))
+                assert not att[b, :, n:].any() and not att[b, :, :, n:].any()
+                assert not ffn[b, n:].any()
+        assert rng.random() == ref.random()
+
+    def test_no_rng_or_zero_rate_draws_nothing(self):
+        assert dropout_keeps(None, 0.3, 2, 2, 4, [3], np.float32) == [(None, None)] * 2
+        rng = generator(0, "keep")
+        assert dropout_keeps(rng, 0.0, 2, 2, 4, [3], np.float32) == [(None, None)] * 2
+        assert rng.random() == generator(0, "keep").random()
 
 
 class TestGreedyDecode:

@@ -130,6 +130,12 @@ def test_split_small_corpus_still_holds_one_out():
     assert len(valid) == 1 and len(train) == 4
 
 
+def test_split_never_holds_out_everything():
+    train, valid = trainer.split_indices(8, 0.95, seed=0)
+    assert len(train) >= 1 and sorted(train + valid) == list(range(8))
+    assert trainer.split_indices(1, 0.95, seed=0) == ([0], [])
+
+
 def test_sample_batch_respects_duration_cap(toy_corpus):
     _, entries = toy_corpus
     utts = trainer.prepare_corpus(entries)
