@@ -83,12 +83,12 @@ class BridgeSection:
 
 @dataclass
 class LmSection:
-    preset: str = "tiny"
-    d_llm: int = 128
-    num_layers: int = 2
-    num_heads: int = 4
-    ffn_dim: int = 256
-    max_positions: int = 512
+    preset: str = "tiny"  # its widths are the defaults below
+    d_llm: int = LM_PRESETS["tiny"]["d_llm"]
+    num_layers: int = LM_PRESETS["tiny"]["num_layers"]
+    num_heads: int = LM_PRESETS["tiny"]["num_heads"]
+    ffn_dim: int = LM_PRESETS["tiny"]["ffn_dim"]
+    max_positions: int = LM_PRESETS["tiny"]["max_positions"]
     dropout: float = 0.1
 
     def __post_init__(self):

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .numcore import Tensor, as_tensor, ops
+from .numcore import Tensor, as_tensor
 from .numcore.tensor import make
 
 BLANK = 0
@@ -68,23 +68,22 @@ def _beta(em: np.ndarray, skip: np.ndarray, frames: np.ndarray,
     return beta
 
 
-def ctc_losses(log_probs: Tensor, frames, labels) -> list[Tensor]:
-    """Per-item negative log-likelihoods of a padded batch.
+def ctc_losses(log_probs: Tensor, frames, labels) -> Tensor:
+    """Per-item negative log-likelihoods of a padded batch, as one (B,) node.
 
     log_probs (B, U, V) holds frames[b] real frames for item b; labels[b]
-    is its label sequence. Returns B scalars, each its own tape node over
-    one shared forward-backward; an infeasible item is +inf with no
-    gradient. The recursions run over (B, S) at once (Graves et al. 2006,
-    batched as warp-ctc does it).
+    is its label sequence. An infeasible item is +inf and gets a zero
+    gradient row; a batch with no feasible item is a constant. The
+    recursions run over (B, S) at once (Graves et al. 2006, batched as
+    warp-ctc does it).
     """
     x = as_tensor(log_probs)
-    dtype = x.data.dtype
     labels = [list(l) for l in labels]
     frames = np.asarray(frames, dtype=np.int64)
-    out = [Tensor(np.asarray(np.inf, dtype=dtype)) for _ in labels]
+    out = np.full(len(labels), np.inf, dtype=x.data.dtype)
     rows = np.flatnonzero([min_frames(l) <= u for l, u in zip(labels, frames)])
     if len(rows) == 0:
-        return out
+        return Tensor(out)
     frames = frames[rows]
     states = np.array([2 * len(labels[r]) + 1 for r in rows])
     ext = np.zeros((len(rows), states.max()), dtype=np.int64)
@@ -101,6 +100,7 @@ def ctc_losses(log_probs: Tensor, frames, labels) -> list[Tensor]:
     last = end[items, states - 1]
     second = np.where(states > 1, end[items, np.maximum(states - 2, 0)], NEG_INF)
     log_p = np.logaddexp(last, second)
+    out[rows] = -log_p
 
     def backward(g):
         back_skip = np.zeros(ext.shape, dtype=bool)
@@ -112,20 +112,17 @@ def ctc_losses(log_probs: Tensor, frames, labels) -> list[Tensor]:
         for s in range(ext.shape[1]):
             grad[items, :, ext[:, s]] += np.exp(occ[:, :, s])
         full = np.zeros_like(x.data)
-        full[rows, :U] = -g[:, None, None] * grad
+        full[rows, :U] = -g[rows, None, None] * grad
         return [(x, full)]
 
-    losses = ops.unbind(make(np.asarray(-log_p, dtype=dtype), (x,), backward))
-    for r, loss in zip(rows, losses):
-        out[r] = loss
-    return out
+    return make(out, (x,), backward)
 
 
 def ctc_loss(log_probs: Tensor | np.ndarray, labels) -> Tensor:
-    """Negative log-likelihood of one (U, V) sequence as a tape node; +inf
-    (no gradient) if infeasible. The batch-of-one case of ctc_losses."""
+    """Negative log-likelihood of one (U, V) sequence as a scalar; +inf (no
+    gradient) if infeasible. The batch-of-one case of ctc_losses."""
     x = as_tensor(log_probs)
-    return ctc_losses(x.reshape(1, *x.shape), [x.shape[0]], [labels])[0]
+    return ctc_losses(x.reshape(1, *x.shape), [x.shape[0]], [labels]).reshape()
 
 
 def ctc_brute_force(log_probs: np.ndarray, labels, max_frames: int = 12) -> float:

@@ -144,7 +144,7 @@ class EvalReport:
         return head + "\n" + body + "\n"
 
 
-def eval_corpus(system, entries, max_decode_tokens: int | None = None) -> EvalReport:
+def eval_corpus(system, entries) -> EvalReport:
     """Greedy-decode every utterance. Unreadable audio, audio too long for
     the model's position tables, and a reference with no words once
     normalized (WER is undefined) are recorded as skips."""
@@ -158,7 +158,7 @@ def eval_corpus(system, entries, max_decode_tokens: int | None = None) -> EvalRe
         try:
             wav = frontend.load_audio(e.audio_path)
             feats = frontend.log_mel(wav, system.normalizer)
-            hyp = system.transcribe(feats, max_len=max_decode_tokens)
+            hyp = system.transcribe(feats)
         except (frontend.AudioError, OSError) as exc:
             skipped.append({"audio_path": e.audio_path, "reason": str(exc)})
             continue

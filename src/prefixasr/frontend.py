@@ -101,8 +101,6 @@ _HANN = np.hanning(WINDOW_SAMPLES)
 @dataclass
 class FeatureMatrix:
     frames: np.ndarray  # (T, 80) float32
-    hop_ms: int = 10
-    window_ms: int = 25
 
     @property
     def num_frames(self) -> int:

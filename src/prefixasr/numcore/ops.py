@@ -408,19 +408,6 @@ def add_mask(x: Tensor, mask: np.ndarray) -> Tensor:
     return make(out, (x,), backward)
 
 
-def unbind(a: Tensor) -> list[Tensor]:
-    """Split a along its first axis into a[0], a[1], ..., one tape node each."""
-    def item(i):
-        def backward(g):
-            full = np.zeros_like(a.data)
-            full[i] = g
-            return [(a, full)]
-
-        return make(np.asarray(a.data[i]), (a,), backward)
-
-    return [item(i) for i in range(a.data.shape[0])]
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x (..., d_in) @ w (d_in, d_out) + b as one tape node; backward
     returns gradients only for the inputs that need one."""

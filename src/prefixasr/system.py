@@ -13,8 +13,8 @@ from .config import RunConfig, from_dict
 from .declm import DecoderLM, LmConfig
 from .encoder import ConformerEncoder, EncoderConfig
 from .frontend import NUM_MELS, FeatureMatrix, FeatureNormalizer
-from .numcore import Tensor, no_grad
-from .tokenizer import CharTokenizer
+from .numcore import Tensor, no_grad, ops
+from .tokenizer import CharTokenizer, mask_tokens
 
 
 class AsrSystem:
@@ -65,11 +65,26 @@ class AsrSystem:
         return self.bridge.forward(emb.reshape(*emb.shape[1:]))
 
     def ctc_losses(self, features: list[FeatureMatrix], texts: list[str],
-                   rng=None) -> list[Tensor]:
-        """Stage-1 loss: one CTC loss per utterance of a padded batch."""
+                   rng=None) -> Tensor:
+        """Stage-1 loss: the (B,) CTC losses of one padded batch, +inf where
+        an utterance has no alignment."""
         log_probs, lengths = self.encoder.encode_batch(features, rng)
         return ctc.ctc_losses(log_probs, lengths,
                               [self.tokenizer.encode_ctc(t) for t in texts])
+
+    def joint_losses(self, features: list[FeatureMatrix], texts: list[str],
+                     rng=None) -> Tensor:
+        """Stage-2 loss: the (B,) next-token losses, one graph per utterance.
+        With an rng (training) each utterance draws in turn its token mask,
+        its encoder dropout masks and its LM dropout masks."""
+        losses = []
+        for f, text in zip(features, texts):
+            inputs = None
+            if rng is not None:
+                inputs = mask_tokens(self.tokenizer.encode(text),
+                                     self.cfg.training.mask_fraction, rng)
+            losses.append(self.joint_loss(f, text, inputs, rng).reshape(1))
+        return ops.concat(losses)
 
     def joint_loss(self, features: FeatureMatrix, text: str,
                    input_text_ids=None, rng=None) -> Tensor:

@@ -8,9 +8,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 NUM_SPECIALS = 4
-SPECIAL_NAMES = ["<pad>", "<unk>", "<bos>", "<eos>"]
+
+
+def mask_tokens(text_ids, fraction: float, rng: np.random.Generator) -> list[int]:
+    """Replace each non-special token by unk with probability `fraction`.
+
+    Input-side only; callers keep the original ids as prediction targets.
+    """
+    if fraction <= 0.0:
+        return list(text_ids)
+    draws = rng.random(len(text_ids))
+    return [UNK if (i >= NUM_SPECIALS and d < fraction) else i
+            for i, d in zip(text_ids, draws)]
 
 
 @dataclass

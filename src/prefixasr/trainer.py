@@ -2,8 +2,8 @@
 training with text masking and language-balanced sampling.
 
 Both stages run through one stage runner; a StageSpec holds what differs
-between them. Stage 1 encodes each step's batch as one zero-padded batch
-and scores it with a batched CTC; stage 2 builds one graph per utterance.
+between them. Each stage's loss is an AsrSystem method that returns the
+(B,) per-utterance losses of a batch: ctc_losses or joint_losses.
 
 Runs are deterministic for a given (manifest, config, seed): every random
 draw comes from a stream keyed by (seed, stage, purpose, step), so resuming
@@ -30,10 +30,10 @@ from .checkpoint import (CheckpointError, ModelCheckpoint, load_checkpoint,
                          save_checkpoint)
 from .config import RunConfig, StageSection
 from .numcore import (AdamState, NonFiniteGradientError, Tensor, adam_step,
-                      clip_grad_norm, no_grad, schedule_lr)
+                      clip_grad_norm, no_grad, ops, schedule_lr)
 from .numcore.rng import generator
 from .system import AsrSystem
-from .tokenizer import NUM_SPECIALS, UNK, CharTokenizer
+from .tokenizer import CharTokenizer, mask_tokens  # noqa: F401 (re-exported)
 
 
 class ManifestError(ValueError):
@@ -75,18 +75,6 @@ def read_manifest(path) -> list[ManifestEntry]:
     if not entries:
         raise ManifestError(f"{path}: empty manifest")
     return entries
-
-
-def mask_tokens(text_ids, fraction: float, rng: np.random.Generator) -> list[int]:
-    """Replace each non-special token by unk with probability `fraction`.
-
-    Input-side only; callers keep the original ids as prediction targets.
-    """
-    if fraction <= 0.0:
-        return list(text_ids)
-    draws = rng.random(len(text_ids))
-    return [UNK if (i >= NUM_SPECIALS and d < fraction) else i
-            for i, d in zip(text_ids, draws)]
 
 
 def balanced_sampler(per_language_hours: dict[str, float], alpha: float,
@@ -188,10 +176,10 @@ class StageSpec:
     section: StageSection
     system: AsrSystem
     params: dict[str, Tensor]  # what trains; every other system tensor is frozen
-    # (features, transcripts, rng) -> one scalar loss per utterance; an rng
+    # (features, transcripts, rng) -> the (B,) per-utterance losses; an rng
     # means training (dropout, token masking), None means validation
     batch_loss: Callable[[list[frontend.FeatureMatrix], list[str],
-                          np.random.Generator | None], list[Tensor]]
+                          np.random.Generator | None], Tensor]
     keep: tuple[str, ...]  # prefixes of the system tensors its checkpoints hold
 
     def model_tensors(self) -> dict[str, np.ndarray]:
@@ -255,13 +243,13 @@ def _chunk_by_duration(utts: list[PreparedUtterance],
     return chunks
 
 
-def _mean_feasible(losses):
-    """Left-to-right sum of the losses that are not +inf, times 1/n; None
-    when every loss is +inf."""
-    kept = [l for l in losses if l.item() != math.inf]
-    if not kept:
+def _mean_feasible(losses: Tensor) -> Tensor | None:
+    """Sum of the (B,) losses that are not +inf, times 1/n; None when every
+    loss is +inf. A NaN is kept, so the step reads as diverged."""
+    kept = np.flatnonzero(losses.data != math.inf)
+    if len(kept) == 0:
         return None
-    return sum(kept[1:], kept[0]) * (1.0 / len(kept))
+    return ops.embedding(losses, kept).sum() * (1.0 / len(kept))
 
 
 def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
@@ -354,9 +342,8 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
             continue
         if state.step % tcfg.eval_interval == 0 or state.step == max_steps:
             with no_grad():
-                vals = [l.item() for chunk in valid_chunks
-                        for l in batch_loss(chunk)]
-            vals = [v for v in vals if v != math.inf]
+                vals = [v for chunk in valid_chunks
+                        for v in batch_loss(chunk).data.tolist() if v != math.inf]
             valid = float(np.mean(vals)) if vals else math.inf
             state.log.append({"step": state.step, "lr": lr,
                               "train_loss": loss_val, "valid_loss": valid})
@@ -408,21 +395,10 @@ def train_joint(entries: list[ManifestEntry], cfg: RunConfig,
                 encoder_ckpt: ModelCheckpoint, out_dir=None, state_path=None,
                 resume: bool = False, stop_fn=None) -> TrainResult:
     """Stage 2: joint training of encoder + bridge + LoRA with text masking."""
-    tcfg = cfg.training
-
     def make_spec(train_utts):
-        system = AsrSystem.from_encoder_checkpoint(cfg, encoder_ckpt, seed=tcfg.seed)
-
-        def utt_loss(feats, text, rng):
-            inputs = None
-            if rng is not None:
-                inputs = mask_tokens(system.tokenizer.encode(text), tcfg.mask_fraction, rng)
-            return system.joint_loss(feats, text, input_text_ids=inputs, rng=rng)
-
-        def batch_loss(feats, texts, rng):
-            return [utt_loss(f, t, rng) for f, t in zip(feats, texts)]
-
-        return StageSpec("joint", tcfg.joint, system, system.joint_trainable(),
-                         batch_loss, ("",))  # "" keeps every tensor
+        system = AsrSystem.from_encoder_checkpoint(cfg, encoder_ckpt,
+                                                   seed=cfg.training.seed)
+        return StageSpec("joint", cfg.training.joint, system, system.joint_trainable(),
+                         system.joint_losses, ("",))  # "" keeps every tensor
 
     return _run_stage(entries, cfg, make_spec, out_dir, state_path, resume, stop_fn)

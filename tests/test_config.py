@@ -35,6 +35,18 @@ def test_lm_preset_expansion():
         assert getattr(cfg.lm, key) == value
 
 
+def test_default_lm_is_the_tiny_preset():
+    assert load_config(overrides=["lm.preset=tiny"]).lm == RunConfig().lm
+
+
+def test_config_digests_pinned():
+    """Checkpoints store these digests; a default that moves breaks them."""
+    assert config_digest(RunConfig().to_dict()) == (
+        "b679543e5ad7920cb3dfd5d222918d12868f57b3452a8a2c80e45f392cc20e38")
+    assert config_digest(load_config(overrides=["lm.preset=base"]).to_dict()) == (
+        "d61974b8f1b7be7226ebd79a057a93f9c78e5d235fc4ef6d85f57664aecaea21")
+
+
 def test_preset_fields_can_be_overridden():
     cfg = from_dict({"lm": {"preset": "base", "num_layers": 3}})
     assert cfg.lm.num_layers == 3

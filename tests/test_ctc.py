@@ -112,20 +112,17 @@ class TestBatchedCtc:
         with nc.use_dtype(np.float64):
             lp, frames, labels = self.batch(rng)
             losses = ctc.ctc_losses(lp, frames, labels)
-            assert math.isinf(losses[4].item()) and not losses[4].requires_grad
-            total = losses[0]
-            for loss in losses[1:4] + losses[5:]:
-                total = total + loss
-            total.backward()
+            ops.embedding(losses, [0, 1, 2, 3, 5]).sum().backward()
             batched_grad = lp.grad.copy()
             for i, (u, l) in enumerate(self.ITEMS):
                 item = nc.param(lp.data[i, :u])
                 single = ctc.ctc_loss(item, l)
+                entry = float(losses.data[i])
                 if math.isinf(single.item()):
-                    assert math.isinf(losses[i].item())
+                    assert math.isinf(entry)
                     assert not batched_grad[i].any()
                     continue
-                assert losses[i].item() == pytest.approx(single.item(), abs=1e-12)
+                assert entry == pytest.approx(single.item(), abs=1e-12)
                 single.backward()
                 np.testing.assert_allclose(batched_grad[i, :u], item.grad, atol=1e-12)
                 assert not batched_grad[i, u:].any()
@@ -139,14 +136,32 @@ class TestBatchedCtc:
 
             def loss_fn():
                 losses = ctc.ctc_losses(ops.log_softmax(logits), frames, labels)
-                kept = [l for l in losses if l.requires_grad]
-                total = kept[0]
-                for loss in kept[1:]:
-                    total = total + loss
-                return total
+                return ops.embedding(losses, np.flatnonzero(np.isfinite(losses.data))).sum()
 
             report = nc.grad_check(loss_fn, {"logits": logits})
             assert report.max_rel_error < 1e-6
+
+    def test_one_node_with_zero_gradient_rows_for_infeasible_items(self):
+        """The batch is one (B,) node over the log-probs; the infeasible
+        entry is +inf, and its gradient row stays 0 even when the upstream
+        gradient at that entry is not."""
+        rng = np.random.default_rng(14)
+        with nc.use_dtype(np.float64):
+            lp, frames, labels = self.batch(rng)
+            losses = ctc.ctc_losses(lp, frames, labels)
+            assert losses.shape == (len(self.ITEMS),)
+            assert losses._parents == (lp,)
+            assert np.isinf(losses.data).tolist() == [i == 4 for i in range(len(self.ITEMS))]
+            losses.backward(np.ones(len(self.ITEMS)))
+            assert np.isfinite(lp.grad).all()
+            assert not lp.grad[4].any()
+            assert all(lp.grad[i].any() for i in (0, 1, 2, 3, 5))
+
+    def test_all_infeasible_batch_is_a_constant(self):
+        lp = nc.param(np.stack([uniform_lp(2, 4)] * 2))
+        losses = ctc.ctc_losses(lp, [2, 1], [[1, 2, 3], [1, 1]])
+        assert losses.shape == (2,) and np.isinf(losses.data).all()
+        assert losses._backward is None and not losses.requires_grad
 
 
 class TestBruteForce:

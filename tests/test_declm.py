@@ -151,8 +151,9 @@ def batched_losses(lm, audio, texts, rng=None):
     x, lengths = lm._embed(audio, [[cfg.bos_id] + t for t in texts])
     logits = lm._logits(x, lengths, causal_mask(x.shape[1], dtype=x.data.dtype), rng=rng)
     losses = []
-    for row, a, t in zip(ops.unbind(logits), audio, texts):
+    for b, (a, t) in enumerate(zip(audio, texts)):
         M = 0 if a is None else a.shape[0]
+        row = ops.narrow(logits, 0, b, 1).reshape(*logits.shape[1:])
         logp = ops.log_softmax(ops.narrow(row, 0, M, len(t) + 1))
         losses.append(-ops.gather_rows(logp, np.asarray(t + [cfg.eos_id])).mean())
     total = losses[0]

@@ -189,9 +189,9 @@ def test_eval_corpus_skips_empty_reference(toy_corpus):
 def test_eval_corpus_skips_audio_past_position_table(toy_corpus):
     _, entries = toy_corpus
     # 12 encoder positions hold 96 log-mel frames, a little under 1 s of audio
-    cfg = fast_config(["encoder.max_frames=12"])
+    cfg = fast_config(["encoder.max_frames=12", "eval.max_decode_tokens=3"])
     system = AsrSystem(cfg, CharTokenizer.from_texts([e.text for e in entries]))
-    report = eval_corpus(system, entries, max_decode_tokens=3)
+    report = eval_corpus(system, entries)
     long = [e.audio_path for e in entries
             if frontend.load_audio(e.audio_path).duration > 1.0]
     assert 0 < len(long) < len(entries)

@@ -7,7 +7,7 @@ from prefixasr.frontend import FeatureMatrix, FeatureNormalizer
 from prefixasr.numcore import no_grad, ops, use_dtype
 from prefixasr.numcore.rng import generator
 from prefixasr.system import AsrSystem
-from prefixasr.tokenizer import CharTokenizer
+from prefixasr.tokenizer import CharTokenizer, mask_tokens
 
 
 def make_system(extra=(), seed=0):
@@ -53,6 +53,47 @@ def test_joint_loss_dropout_draw_order(monkeypatch):
     for shape in shapes:
         fresh.random(shape)
     assert rng.random() == fresh.random()
+
+
+class RecordingRng:
+    """A generator that logs the size of every random() draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_joint_losses_draw_order():
+    """A batch draws utterance by utterance: the token mask, then the
+    encoder masks, then the LM masks, as a loop of joint_loss calls does.
+    Pins the order that a batched joint stage must reproduce."""
+    system = make_system(["encoder.dropout=0.1", "lm.dropout=0.1",
+                          "training.mask_fraction=0.5"])
+    enc, lm = system.cfg.encoder, system.cfg.lm
+    batch = [(feats(70, seed=1), "abc"), (feats(45, seed=2), "de")]
+    rng = RecordingRng(generator(0, "test", "step", 1))
+    losses = system.joint_losses([f for f, _ in batch], [t for _, t in batch], rng)
+    # U = ceil(T/8) = 9 and 6 frames; S = ceil(U/3) audio + bos + text = 7 and 5
+    want = []
+    for (_, text), U, S in zip(batch, (9, 6), (7, 5)):
+        want.append(len(text))
+        want += [(enc.num_heads, U, U), (U, enc.ffn_dim)] * enc.num_layers
+        want += [(lm.num_heads, S, S), (S, lm.ffn_dim)] * lm.num_layers
+    assert rng.sizes == want
+    fresh = generator(0, "test", "step", 1)
+    for size in want:
+        fresh.random(size)
+    assert rng.random() == fresh.random()
+
+    loop_rng = generator(0, "test", "step", 1)
+    loop = []
+    for f, text in batch:
+        inputs = mask_tokens(system.tokenizer.encode(text), 0.5, loop_rng)
+        loop.append(system.joint_loss(f, text, inputs, loop_rng).item())
+    assert losses.shape == (2,) and losses.data.tolist() == loop
 
 
 def test_joint_trainable_excludes_ctc_head_and_base_lm():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import fast_config
 from prefixasr import ctc, trainer
-from prefixasr.numcore import Tensor, no_grad
+from prefixasr.numcore import Tensor, ops, param
 from prefixasr.numcore.rng import generator
 from prefixasr.system import AsrSystem
 from prefixasr.tokenizer import NUM_SPECIALS, UNK
@@ -105,7 +105,7 @@ def test_sampler_vanishing_weights_normalised_in_log_space():
 
 
 def test_sampler_no_data_at_all():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError), pytest.warns(UserWarning, match="no data excluded"):
         trainer.balanced_sampler({"en": 0.0}, 0.5, np.random.default_rng(0))
 
 
@@ -262,8 +262,8 @@ def test_joint_early_stops_on_plateau(pretrain_result):
 def patch_utt_loss(monkeypatch, stage, replace):
     """Route each per-utterance loss of `stage` through
     replace(loss, step, call), where call counts the losses within a step.
-    Stage 1 scores a whole batch in one ctc_losses call, so each of the
-    losses it returns is replaced in turn."""
+    Stage 1 scores a whole batch in one ctc_losses call, so each entry of
+    the (B,) vector it returns is replaced in turn."""
     where = {"step": 0, "call": 0}
     sample_batch = trainer.sample_batch
 
@@ -279,9 +279,14 @@ def patch_utt_loss(monkeypatch, stage, replace):
 
     monkeypatch.setattr(trainer, "sample_batch", counting_sample_batch)
     if stage == "pretrain":
-        losses = ctc.ctc_losses
-        monkeypatch.setattr(ctc, "ctc_losses",
-                            lambda *a, **k: [each(l) for l in losses(*a, **k)])
+        ctc_losses = ctc.ctc_losses
+
+        def rewritten(*args, **kwargs):
+            losses = ctc_losses(*args, **kwargs)
+            return ops.concat([each(ops.narrow(losses, 0, i, 1).reshape()).reshape(1)
+                               for i in range(losses.shape[0])])
+
+        monkeypatch.setattr(ctc, "ctc_losses", rewritten)
     else:
         joint_loss = AsrSystem.joint_loss
         monkeypatch.setattr(AsrSystem, "joint_loss",
@@ -330,13 +335,22 @@ def test_infeasible_utterance_dropped_from_mean(stage, pretrain_result, monkeypa
     result = run_stage(stage, pretrain_result, max_steps=1)
     assert not result.diverged
     assert result.steps == 1 and result.infeasible_skipped == 0
-    with no_grad():
-        total = kept[0]
-        for loss in kept[1:]:
-            total = total + loss
-        assert result.log[0]["train_loss"] == (total * (1.0 / len(kept))).item()
+    total = np.array([loss.item() for loss in kept], dtype=np.float32).sum()
+    assert result.log[0]["train_loss"] == float(total * np.float32(1.0 / len(kept)))
     trainable = "encoder.ctc.w" if stage == "pretrain" else "bridge.proj.w"
     assert not np.array_equal(result.checkpoint.tensors[trainable], before[trainable])
+
+
+def test_mean_feasible_weights_each_kept_entry_by_one_over_n():
+    losses = param(np.array([1.5, np.inf, 2.25, 3.0, np.inf], dtype=np.float32))
+    mean = trainer._mean_feasible(losses)
+    assert mean.item() == float(np.float32(6.75) * np.float32(1.0 / 3))
+    mean.backward()
+    want = np.array([1, 0, 1, 1, 0], dtype=np.float32) * np.float32(1.0 / 3)
+    assert losses.grad.dtype == np.float32
+    np.testing.assert_array_equal(losses.grad, want)
+    assert math.isnan(trainer._mean_feasible(param(np.array([np.nan, 1.0]))).item())
+    assert trainer._mean_feasible(param(np.full(3, np.inf, dtype=np.float32))) is None
 
 
 @pytest.mark.parametrize("stage", ["pretrain", "joint"])
