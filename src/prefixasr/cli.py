@@ -156,6 +156,11 @@ def cmd_inspect_ckpt(args) -> int:
     print(f"file digest:   {file_digest(args.ckpt)}")
     if "stage" in ckpt.metadata:
         print(f"stage: {ckpt.metadata['stage']}")
+    if "train_state" in ckpt.metadata:
+        state = trainer.load_train_state(ckpt.metadata["train_state"], args.ckpt)
+        print("train_state:")
+        for key in ("stage", "step", "best_valid", "infeasible"):
+            print(f"  {key}: {getattr(state, key)}")
     total = 0
     for name in sorted(ckpt.tensors):
         arr = ckpt.tensors[name]

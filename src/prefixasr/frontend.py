@@ -7,11 +7,12 @@ frame rate are externally constrained, the rest follows common ASR practice.
 
 from __future__ import annotations
 
+import math
 import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import resample_poly
+from numpy.lib.stride_tricks import sliding_window_view
 
 SAMPLE_RATE = 16000
 WINDOW_SAMPLES = 400   # 25 ms
@@ -19,6 +20,7 @@ HOP_SAMPLES = 160      # 10 ms
 NUM_FFT = 512
 NUM_MELS = 80
 MAX_SECONDS = 20.0
+MAX_SAMPLE_RATE = 192000  # the resampling filter has 20*rate+1 taps at worst
 LOG_FLOOR = 1e-10
 
 
@@ -36,11 +38,38 @@ class Waveform:
         return len(self.samples) / self.sample_rate
 
 
+def resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """Resample 1-D `x` by up/down polyphase, as float64, with the filter and
+    alignment of `scipy.signal.resample_poly`'s defaults: a Kaiser (beta 5)
+    windowed sinc, R = max(up, down), of 20R+1 taps, cutoff 1/R of Nyquist and
+    DC gain `up`; output k is the zero-stuffed input's full convolution at
+    k*down + 10R."""
+    g = math.gcd(up, down)
+    up, down = up // g, down // g
+    R = max(up, down)
+    half = 10 * R
+    h = np.sinc(np.arange(-half, half + 1) / R) * np.kaiser(2 * half + 1, 5.0)
+    h *= up / h.sum()
+    taps = -(-len(h) // up)
+    # phase r of the filter, reversed so that a window of the input dots it
+    h = np.pad(h, (0, taps * up - len(h))).reshape(taps, up).T[:, ::-1].copy()
+    n_out = -(-len(x) * up // down)
+    last = ((n_out - 1) * down + half) // up + 1  # >= len(x), as half > down
+    windows = sliding_window_view(
+        np.pad(np.asarray(x, np.float64), (taps - 1, last - len(x))), taps)
+    y = np.empty(n_out)
+    # outputs k0, k0+up, ... share a phase, and their windows are `down` apart
+    for k0 in range(min(up, n_out)):
+        q, r = divmod(k0 * down + half, up)
+        y[k0::up] = windows[q::down][:len(range(k0, n_out, up))] @ h[r]
+    return y
+
+
 def load_audio(path) -> Waveform:
     """Read a PCM16 RIFF/WAVE file as mono 16 kHz floats in [-1, 1].
 
     Stereo is channel-averaged; other rates are resampled. Utterances over
-    20 s are rejected.
+    20 s, and header rates outside 1 Hz..192 kHz, are rejected.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -48,6 +77,11 @@ def load_audio(path) -> Waveform:
             width = wf.getsampwidth()
             rate = wf.getframerate()
             nframes = wf.getnframes()
+            if not 1 <= rate <= MAX_SAMPLE_RATE:
+                raise AudioError(f"{path}: bad sample rate {rate}")
+            if nframes / rate > MAX_SECONDS:
+                raise AudioError(f"{path}: {nframes / rate:.2f}s exceeds the "
+                                 f"{MAX_SECONDS:.0f}s cap")
             raw = wf.readframes(nframes)
     except (wave.Error, EOFError, OSError) as exc:
         raise AudioError(f"cannot read {path}: {exc}") from exc
@@ -57,15 +91,11 @@ def load_audio(path) -> Waveform:
     if channels > 1:
         pcm = pcm.reshape(-1, channels).mean(axis=1)
     if rate != SAMPLE_RATE:
-        pcm = resample_poly(pcm, SAMPLE_RATE, rate).astype(np.float32)
+        pcm = resample_poly(pcm, SAMPLE_RATE, rate)
     duration = len(pcm) / SAMPLE_RATE
     if duration > MAX_SECONDS:
         raise AudioError(f"{path}: {duration:.2f}s exceeds the {MAX_SECONDS:.0f}s cap")
-    return Waveform(samples=pcm.astype(np.float32), sample_rate=SAMPLE_RATE)
-
-
-def num_frames(num_samples: int) -> int:
-    return 1 + (num_samples - WINDOW_SAMPLES) // HOP_SAMPLES
+    return Waveform(samples=pcm.astype(np.float32, copy=False), sample_rate=SAMPLE_RATE)
 
 
 def _hz_to_mel(f):
@@ -131,9 +161,7 @@ def log_mel(waveform: Waveform, normalizer: FeatureNormalizer | None = None) -> 
         raise AudioError(f"expected {SAMPLE_RATE} Hz, got {waveform.sample_rate}")
     if len(x) < WINDOW_SAMPLES:
         raise AudioError(f"audio shorter than one window ({len(x)} < {WINDOW_SAMPLES})")
-    T = num_frames(len(x))
-    idx = np.arange(WINDOW_SAMPLES)[None, :] + HOP_SAMPLES * np.arange(T)[:, None]
-    windows = x[idx] * _HANN
+    windows = sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES] * _HANN
     spectrum = np.abs(np.fft.rfft(windows, n=NUM_FFT, axis=1))
     mel_energy = spectrum @ _FILTERBANK.T
     feats = np.log(np.maximum(mel_energy, LOG_FLOOR)).astype(np.float32)

@@ -203,7 +203,7 @@ class _TrainState:
 _STATE_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "list[dict]": list}
 
 
-def _load_train_state(saved, state_path) -> _TrainState:
+def load_train_state(saved, state_path) -> _TrainState:
     """The saved "train_state" metadata with its keys and value types checked."""
     try:
         state = _TrainState(**saved)
@@ -286,7 +286,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
         if changed:
             raise CheckpointError(f"{state_path}: the saved state has a different "
                                   f"{', '.join(changed)} config than this run")
-        state = _load_train_state(saved.metadata.get("train_state", {}), state_path)
+        state = load_train_state(saved.metadata.get("train_state", {}), state_path)
         if state.stage != spec.name:
             raise CheckpointError(f"{state_path}: the state is for stage "
                                   f"{state.stage!r}, not {spec.name!r}")

@@ -1,3 +1,7 @@
+import struct
+import wave
+
+import numpy as np
 import pytest
 
 from prefixasr import trainer
@@ -36,3 +40,15 @@ def toy_corpus(tmp_path_factory):
     """Rendered tone corpus shared across tests: (manifest path, entries)."""
     manifest = write_toy_corpus(tmp_path_factory.mktemp("corpus"))
     return manifest, trainer.read_manifest(manifest)
+
+
+def write_patched_rate_wav(path, rate=0):
+    """A 0.1 s PCM16 WAV whose fmt chunk then has its sample rate set to `rate`."""
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(np.zeros(1600, dtype="<i2").tobytes())
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 24, rate)  # fmt chunk: nSamplesPerSec
+    path.write_bytes(bytes(blob))

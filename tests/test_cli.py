@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import FAST_OVERRIDES, fast_config
+from conftest import FAST_OVERRIDES, fast_config, write_patched_rate_wav
 from prefixasr import cli
 from prefixasr.checkpoint import file_digest, load_checkpoint, save_checkpoint
 from prefixasr.system import AsrSystem
@@ -98,6 +102,26 @@ def test_transcribe_corrupt_wav_exit_3(trained, tmp_path):
                str(bad)) == cli.EXIT_BAD_DATA
 
 
+def test_transcribe_zero_sample_rate_exit_3(trained, tmp_path):
+    out, _ = trained
+    write_patched_rate_wav(tmp_path / "r0.wav")
+    assert run("transcribe", "--ckpt", str(out / "model.ckpt"),
+               str(tmp_path / "r0.wav")) == cli.EXIT_BAD_DATA
+
+
+def test_eval_skips_zero_sample_rate(trained, tmp_path):
+    out, manifest = trained
+    bad = tmp_path / "r0.wav"
+    write_patched_rate_wav(bad)
+    lines = Path(manifest).read_text().splitlines()
+    lines.append(json.dumps({"audio_path": str(bad), "text": "a b", "language": "aa"}))
+    (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
+    assert run("eval", "--ckpt", str(out / "model.ckpt"), "--manifest",
+               str(tmp_path / "m.jsonl"), "--out-dir", str(tmp_path)) == 0
+    skipped = json.loads((tmp_path / "report.json").read_text())["skipped"]
+    assert [s["audio_path"] for s in skipped] == [str(bad)]
+
+
 def test_eval_writes_report_files(trained, tmp_path):
     out, manifest = trained
     rep = tmp_path / "rep"
@@ -155,6 +179,33 @@ def test_inspect_ckpt(trained, capsys):
     printed = capsys.readouterr().out
     assert "config digest:" in printed
     assert "total parameters:" in printed
+
+
+def test_inspect_ckpt_prints_train_state(trained, capsys):
+    out, _ = trained
+    assert run("inspect-ckpt", "--ckpt", str(out / "pretrain_state.ckpt")) == 0
+    state = load_checkpoint(out / "pretrain_state.ckpt").metadata["train_state"]
+    printed = capsys.readouterr().out.splitlines()
+    block = printed[printed.index("train_state:") + 1:][:4]
+    assert block == [f"  {k}: {state[k]}" for k in ("stage", "step", "best_valid",
+                                                        "infeasible")]
+    assert state["stage"] == "ctc_pretrain" and state["step"] > 0
+
+
+def test_inspect_ckpt_damaged_train_state_exit_3(trained, tmp_path):
+    out, _ = trained
+    ckpt = load_checkpoint(out / "pretrain_state.ckpt")
+    ckpt.metadata["train_state"]["step"] = "x"
+    save_checkpoint(tmp_path / "s.ckpt", ckpt)
+    assert run("inspect-ckpt", "--ckpt", str(tmp_path / "s.ckpt")) == cli.EXIT_BAD_DATA
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is the resampler's test oracle only; the CLI must not load it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c",
+                    "import sys, prefixasr.cli; assert 'scipy' not in sys.modules"],
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True)
 
 
 @pytest.mark.parametrize("override", ["encoder.max_frames=8", "lm.max_positions=4"])
