@@ -61,20 +61,23 @@ def _log_model_summary(cfg):
     log.info("trainable LM parameters (adapters): %d", lora_params)
 
 
-def cmd_pretrain(args) -> int:
-    cfg = _load_run_config(args)
-    entries = trainer.read_manifest(args.manifest)
-    out = _out_dir(args)
-    state_path = out / "pretrain_state.ckpt"
-    result = trainer.pretrain_encoder(entries, cfg, out_dir=out,
-                                      state_path=state_path, resume=args.resume)
+def _finish_stage(result: trainer.TrainResult, ckpt_path: Path) -> int:
     if result.diverged:
         log.warning("training diverged; keeping last good checkpoint")
-    ckpt_path = out / "encoder.ckpt"
     save_checkpoint(ckpt_path, result.checkpoint)
     log.info("steps: %d  best validation loss: %.4f", result.steps, result.best_valid)
     log.info("wrote %s (digest %s)", ckpt_path, file_digest(ckpt_path)[:12])
     return EXIT_OK
+
+
+def cmd_pretrain(args) -> int:
+    cfg = _load_run_config(args)
+    entries = trainer.read_manifest(args.manifest)
+    out = _out_dir(args)
+    result = trainer.pretrain_encoder(entries, cfg, out_dir=out,
+                                      state_path=out / "pretrain_state.ckpt",
+                                      resume=args.resume)
+    return _finish_stage(result, out / "encoder.ckpt")
 
 
 def cmd_train(args) -> int:
@@ -87,16 +90,9 @@ def cmd_train(args) -> int:
     entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
     _log_model_summary(cfg)
-    state_path = out / "train_state.ckpt"
     result = trainer.train_joint(entries, cfg, encoder_ckpt, out_dir=out,
-                                 state_path=state_path, resume=args.resume)
-    if result.diverged:
-        log.warning("training diverged; keeping last good checkpoint")
-    ckpt_path = out / "model.ckpt"
-    save_checkpoint(ckpt_path, result.checkpoint)
-    log.info("steps: %d  best validation loss: %.4f", result.steps, result.best_valid)
-    log.info("wrote %s (digest %s)", ckpt_path, file_digest(ckpt_path)[:12])
-    return EXIT_OK
+                                 state_path=out / "train_state.ckpt", resume=args.resume)
+    return _finish_stage(result, out / "model.ckpt")
 
 
 def cmd_transcribe(args) -> int:

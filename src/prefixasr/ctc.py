@@ -3,7 +3,9 @@
 Blank id is 0; real labels are 1..V. The loss is a differentiable primitive:
 forward recursion gives the negative log-likelihood, the forward-backward
 product gives the analytic gradient w.r.t. the per-frame log-probabilities.
-A path-enumeration oracle (`ctc_brute_force`) verifies both.
+There is one recursion: the backward variables are the forward recursion run
+over the lattice reversed in time and states. A path-enumeration oracle
+(`ctc_brute_force`) verifies both.
 """
 
 from __future__ import annotations
@@ -30,42 +32,21 @@ def min_frames(labels) -> int:
     return len(labels) + repeats
 
 
-def _alpha(em: np.ndarray, skip: np.ndarray) -> np.ndarray:
+def _alpha(em: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """Forward log-probabilities (B, U, S) from emissions em[b, t, s] =
     lp[b, t, ext[b, s]]. Mass moves only rightwards in s, so the padding
     past an item's last state never reaches its real states."""
     B, U, S = em.shape
+    skip = (ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2])
     alpha = np.full((B, U, S), NEG_INF)
     alpha[:, 0, :2] = em[:, 0, :2]
     for t in range(1, U):
         prev = alpha[:, t - 1]
         acc = prev.copy()
         acc[:, 1:] = np.logaddexp(prev[:, 1:], prev[:, :-1])
-        acc[:, 2:] = np.where(skip[:, 2:], np.logaddexp(acc[:, 2:], prev[:, :-2]),
-                              acc[:, 2:])
+        acc[:, 2:] = np.where(skip, np.logaddexp(acc[:, 2:], prev[:, :-2]), acc[:, 2:])
         alpha[:, t] = acc + em[:, t]
     return alpha
-
-
-def _beta(em: np.ndarray, skip: np.ndarray, frames: np.ndarray,
-          states: np.ndarray) -> np.ndarray:
-    """Backward log-probabilities (B, U, S); item b starts at its last frame
-    frames[b]-1 in its last two states and is -inf after that frame."""
-    B, U, S = em.shape
-    beta = np.full((B, U, S), NEG_INF)
-    nxt = beta[:, U - 1]
-    for t in range(U - 1, -1, -1):
-        acc = nxt.copy()
-        acc[:, :-1] = np.logaddexp(nxt[:, :-1], nxt[:, 1:])
-        acc[:, :-2] = np.where(skip[:, :-2], np.logaddexp(acc[:, :-2], nxt[:, 2:]),
-                               acc[:, :-2])
-        cur = acc + em[:, t]
-        for b in np.flatnonzero(frames - 1 == t):
-            last = slice(max(states[b] - 2, 0), states[b])
-            cur[b, last] = em[b, t, last]
-        beta[:, t] = cur
-        nxt = cur
-    return beta
 
 
 def ctc_losses(log_probs: Tensor, frames, labels) -> Tensor:
@@ -92,9 +73,7 @@ def ctc_losses(log_probs: Tensor, frames, labels) -> Tensor:
     U = frames.max()
     lp = np.asarray(x.data[rows, :U], dtype=np.float64)
     em = np.take_along_axis(lp, ext[:, None, :], axis=2)
-    skip = np.zeros(ext.shape, dtype=bool)
-    skip[:, 2:] = (ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2])
-    alpha = _alpha(em, skip)
+    alpha = _alpha(em, ext)
     items = np.arange(len(rows))
     end = alpha[items, frames - 1]
     last = end[items, states - 1]
@@ -103,9 +82,16 @@ def ctc_losses(log_probs: Tensor, frames, labels) -> Tensor:
     out[rows] = -log_p
 
     def backward(g):
-        back_skip = np.zeros(ext.shape, dtype=bool)
-        back_skip[:, :-2] = (ext[:, :-2] != BLANK) & (ext[:, :-2] != ext[:, 2:])
-        beta = _beta(em, back_skip, frames, states)
+        # beta is alpha over each item's lattice read back to front: real frames
+        # and states reversed (a map that is its own inverse), padding -inf in place
+        t, s = np.arange(U), np.arange(ext.shape[1])
+        pad_t, pad_s = t >= frames[:, None], s >= states[:, None]
+        t_at = np.where(pad_t, t, frames[:, None] - 1 - t)
+        s_at = np.where(pad_s, s, states[:, None] - 1 - s)
+        at = (items[:, None, None] * U + t_at[:, :, None]) * len(s) + s_at[:, None, :]
+        em_rev = np.take(em, at)
+        em_rev[pad_t[:, :, None] | pad_s[:, None, :]] = NEG_INF
+        beta = np.take(_alpha(em_rev, np.take_along_axis(ext, s_at, 1)), at)
         # occupancy of symbol ext[s] at frame t; emission counted once
         occ = alpha + beta - em - log_p[:, None, None]
         grad = np.zeros((len(rows), U, x.data.shape[2]))

@@ -118,10 +118,10 @@ class DecoderLM:
         x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
         return ops.linear(x, self.params["out.w"], self.params["out.b"])
 
-    def _embed(self, audio_list: list[Tensor | None], ids_list: list,
-               pos_offset: int = 0) -> tuple[Tensor, list[int]]:
+    def _embed(self, audio_list: list[Tensor | None],
+               ids_list: list) -> tuple[Tensor, list[int]]:
         """Rows [audio_i || ids_i] right-padded with zeros to (B, S, d), S the
-        longest, with positions pos_offset.. added; and each row's length."""
+        longest, with positions 0.. added; and each row's length."""
         cfg = self.config
         tok = self.params["tok"]
         lengths = [(0 if a is None else a.shape[0]) + len(ids)
@@ -132,7 +132,7 @@ class DecoderLM:
             m = n - len(ids)
             if n == 0:
                 raise ValueError("empty mixed sequence")
-            if pos_offset + n > cfg.max_positions:
+            if n > cfg.max_positions:
                 raise AudioError(f"sequence overflow: audio={m} + text={len(ids)}"
                                  f" exceeds max_positions={cfg.max_positions}")
             if m:
@@ -143,7 +143,7 @@ class DecoderLM:
                 parts.append(Tensor(np.zeros((S - n, cfg.d_llm), tok.data.dtype)))
         x = parts[0] if len(parts) == 1 else ops.concat(parts, axis=0)
         x = x.reshape(len(lengths), S, cfg.d_llm)
-        return x + ops.narrow(self.params["pos"], 0, pos_offset, S), lengths
+        return x + ops.narrow(self.params["pos"], 0, 0, S), lengths
 
     def forward_mixed(self, audio_embeds: Tensor | None, text_ids,
                       rng: np.random.Generator | None = None) -> Tensor:

@@ -408,13 +408,12 @@ def add_mask(x: Tensor, mask: np.ndarray) -> Tensor:
     return make(out, (x,), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x (..., d_in) @ w (d_in, d_out) + b as one tape node; backward
     returns gradients only for the inputs that need one."""
     d_in, d_out = w.data.shape
     out = x.data.reshape(-1, d_in) @ w.data
-    if b is not None:
-        out += b.data
+    out += b.data
     out = out.reshape(*x.data.shape[:-1], d_out)
 
     def backward(g):
@@ -424,11 +423,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             grads.append((w, x.data.reshape(-1, d_in).T @ g2))
         if x.requires_grad:
             grads.append((x, (g2 @ w.data.T).reshape(x.data.shape)))
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             grads.append((b, g2.sum(axis=0)))
         return grads
 
-    return make(out, (x, w) if b is None else (x, w, b), backward)
+    return make(out, (x, w, b), backward)
 
 
 def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,

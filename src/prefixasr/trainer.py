@@ -290,9 +290,18 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
         if state.stage != spec.name:
             raise CheckpointError(f"{state_path}: the state is for stage "
                                   f"{state.stage!r}, not {spec.name!r}")
-        missing = sorted({f"adam.{m}.{n}" for m in "mv" for n in names} - set(saved.tensors))
-        if missing:
-            raise CheckpointError(f"{state_path}: missing optimizer tensors {missing}")
+        model = {k: v.shape for k, v in spec.model_tensors().items()}
+        expected = dict(model)
+        expected.update({f"adam.{m}.{n}": spec.params[n].shape for m in "mv" for n in names})
+        if any(k.startswith("best.") for k in saved.tensors):
+            expected.update({"best." + k: shape for k, shape in model.items()})
+        found = {k: v.shape for k, v in saved.tensors.items()}
+        differ = [f"{k} saved {found.get(k, 'none')}, run {expected.get(k, 'none')}"
+                  for k in sorted(set(expected) | set(found))
+                  if found.get(k) != expected.get(k)]
+        if differ:
+            raise CheckpointError(f"{state_path}: state tensors differ from this run: "
+                                  + "; ".join(differ))
         adam.step = state.adam_step
         for i, n in enumerate(names):
             adam.m[i][...] = saved.tensors["adam.m." + n]

@@ -391,7 +391,9 @@ def _unknown_state_key(ckpt):
 
 
 def _missing_adam_tensor(ckpt):
-    del ckpt.tensors[min(k for k in ckpt.tensors if k.startswith("adam.m."))]
+    name = min(k for k in ckpt.tensors if k.startswith("adam.m."))
+    del ckpt.tensors[name]
+    return name
 
 
 @pytest.mark.parametrize("damage", [_drop_tokenizer, _chars_not_a_list, _chars_not_strings,
@@ -420,17 +422,46 @@ def _log_not_a_list(ckpt):
     ckpt.metadata["train_state"]["log"] = {"step": 1}
 
 
+def _adam_tensor_too_wide(ckpt):
+    name = min(k for k, v in ckpt.tensors.items() if k.startswith("adam.m.") and v.ndim == 2)
+    rows, cols = ckpt.tensors[name].shape
+    ckpt.tensors[name] = np.zeros((rows, cols + 1), np.float32)
+    return name
+
+
+def _adam_tensor_0d(ckpt):
+    name = min(k for k in ckpt.tensors if k.startswith("adam.m."))
+    ckpt.tensors[name] = np.zeros((), np.float32)
+    return name
+
+
+def _model_tensor_missing(ckpt):
+    del ckpt.tensors["encoder.block0.wq"]
+    return "encoder.block0.wq"
+
+
+def _best_tensor_wrong_shape(ckpt):
+    ckpt.tensors["best.encoder.block0.wq"] = np.zeros(3, np.float32)
+    return "best.encoder.block0.wq"
+
+
 @pytest.mark.parametrize("damage", [_unknown_state_key, _missing_adam_tensor,
-                                    _step_not_an_int, _best_valid_a_bool, _log_not_a_list],
+                                    _step_not_an_int, _best_valid_a_bool, _log_not_a_list,
+                                    _adam_tensor_too_wide, _adam_tensor_0d,
+                                    _model_tensor_missing, _best_tensor_wrong_shape],
                          ids=["unknown_state_key", "missing_adam_tensor",
-                              "step_not_an_int", "best_valid_a_bool", "log_not_a_list"])
-def test_resume_with_damaged_state_exit_3(damage, trained, fast_cfg_file, tmp_path):
+                              "step_not_an_int", "best_valid_a_bool", "log_not_a_list",
+                              "adam_tensor_too_wide", "adam_tensor_0d",
+                              "model_tensor_missing", "best_tensor_wrong_shape"])
+def test_resume_with_damaged_state_exit_3(damage, trained, fast_cfg_file, tmp_path, caplog):
     out, manifest = trained
     ckpt = load_checkpoint(out / "pretrain_state.ckpt")
-    damage(ckpt)
+    named = damage(ckpt)
     save_checkpoint(tmp_path / "pretrain_state.ckpt", ckpt)
     assert run("pretrain", "--config", fast_cfg_file, "--manifest", str(manifest),
                "--out-dir", str(tmp_path), "--resume") == cli.EXIT_BAD_DATA
+    if named is not None:
+        assert named in caplog.text
 
 
 def test_pretrain_with_vanishing_sampling_weights(toy_corpus, fast_cfg_file, tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from prefixasr import ctc
 from prefixasr import numcore as nc
@@ -97,6 +97,16 @@ class TestCtcLoss:
         assert a == pytest.approx(b, abs=1e-9)
 
 
+def ctc_batches():
+    """(V, [(frames, labels)]): B <= 5 items, U <= 6 frames and V <= 4
+    symbols counting blank, so empty labels, repeats, infeasible items and
+    padding in U and S all turn up."""
+    def items(V):
+        item = st.tuples(st.integers(1, 6), st.lists(st.integers(1, V - 1), max_size=4))
+        return st.lists(item, min_size=1, max_size=5)
+    return st.integers(2, 4).flatmap(lambda V: st.tuples(st.just(V), items(V)))
+
+
 class TestBatchedCtc:
     # (frames, labels): padding in both U and S, an empty label sequence, a
     # repeat that needs a blank, and an infeasible item
@@ -107,14 +117,21 @@ class TestBatchedCtc:
         lp = np.stack([random_lp(rng, U, 4) for _ in self.ITEMS])
         return nc.param(lp), [u for u, _ in self.ITEMS], [l for _, l in self.ITEMS]
 
-    def test_matches_single_sequences(self):
-        rng = np.random.default_rng(12)
+    @given(ctc_batches(), st.integers(0, 2**32 - 1))
+    @example((4, ITEMS), 12)
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    def test_matches_single_sequences(self, batch, seed):
+        V, items = batch
+        rng = np.random.default_rng(seed)
+        frames = [u for u, _ in items]
         with nc.use_dtype(np.float64):
-            lp, frames, labels = self.batch(rng)
-            losses = ctc.ctc_losses(lp, frames, labels)
-            ops.embedding(losses, [0, 1, 2, 3, 5]).sum().backward()
-            batched_grad = lp.grad.copy()
-            for i, (u, l) in enumerate(self.ITEMS):
+            lp = nc.param(np.stack([random_lp(rng, max(frames), V) for _ in items]))
+            losses = ctc.ctc_losses(lp, frames, [l for _, l in items])
+            feasible = np.flatnonzero(np.isfinite(losses.data))
+            if len(feasible):
+                ops.embedding(losses, feasible).sum().backward()
+            batched_grad = lp.grad if lp.grad is not None else np.zeros_like(lp.data)
+            for i, (u, l) in enumerate(items):
                 item = nc.param(lp.data[i, :u])
                 single = ctc.ctc_loss(item, l)
                 entry = float(losses.data[i])
@@ -127,12 +144,17 @@ class TestBatchedCtc:
                 np.testing.assert_allclose(batched_grad[i, :u], item.grad, atol=1e-12)
                 assert not batched_grad[i, u:].any()
 
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(13)
+    @given(ctc_batches(), st.integers(0, 2**32 - 1))
+    @example((4, ITEMS), 13)
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    def test_gradient_matches_finite_differences(self, batch, seed):
+        V, items = batch
+        rng = np.random.default_rng(seed)
+        frames = [u for u, _ in items]
+        labels = [l for _, l in items]
+        assume(any(ctc.min_frames(l) <= u for u, l in items))
         with nc.use_dtype(np.float64):
-            logits = nc.param(rng.standard_normal((len(self.ITEMS), 6, 4)))
-            frames = [u for u, _ in self.ITEMS]
-            labels = [l for _, l in self.ITEMS]
+            logits = nc.param(rng.standard_normal((len(items), max(frames), V)))
 
             def loss_fn():
                 losses = ctc.ctc_losses(ops.log_softmax(logits), frames, labels)
