@@ -51,6 +51,19 @@ class ModelCheckpoint:
         return {k[cut:]: v for k, v in self.tensors.items() if k.startswith(prefix)}
 
 
+def check_tensors(expected: dict[str, tuple], tensors: dict[str, np.ndarray],
+                  where) -> None:
+    """Raise one CheckpointError naming every tensor that `expected` (name ->
+    shape) has and `tensors` lacks, that has no home in `expected`, or whose
+    shape differs, each with its saved and expected shape."""
+    found = {k: v.shape for k, v in tensors.items()}
+    differ = [f"{k} saved {found.get(k, 'none')}, expected {expected.get(k, 'none')}"
+              for k in sorted(set(expected) | set(found))
+              if found.get(k) != expected.get(k)]
+    if differ:
+        raise CheckpointError(f"{where}: tensors differ from the model: " + "; ".join(differ))
+
+
 def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
     """Write via a temp file in the same directory, then rename it onto path,
     so an interrupted save leaves the previous file intact."""

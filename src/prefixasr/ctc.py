@@ -73,7 +73,12 @@ def ctc_losses(log_probs: Tensor, frames, labels) -> Tensor:
     U = frames.max()
     lp = np.asarray(x.data[rows, :U], dtype=np.float64)
     em = np.take_along_axis(lp, ext[:, None, :], axis=2)
-    alpha = _alpha(em, ext)
+    # both recursions run on emissions that are -inf past each item's frames
+    # and states, so logaddexp over padding takes its equal-arguments path
+    t, s = np.arange(U), np.arange(ext.shape[1])
+    pad_t, pad_s = t >= frames[:, None], s >= states[:, None]
+    em_pad = np.where(pad_t[:, :, None] | pad_s[:, None, :], NEG_INF, em)
+    alpha = _alpha(em_pad, ext)
     items = np.arange(len(rows))
     end = alpha[items, frames - 1]
     last = end[items, states - 1]
@@ -83,20 +88,16 @@ def ctc_losses(log_probs: Tensor, frames, labels) -> Tensor:
 
     def backward(g):
         # beta is alpha over each item's lattice read back to front: real frames
-        # and states reversed (a map that is its own inverse), padding -inf in place
-        t, s = np.arange(U), np.arange(ext.shape[1])
-        pad_t, pad_s = t >= frames[:, None], s >= states[:, None]
+        # and states reversed (a map that is its own inverse), padding in place
         t_at = np.where(pad_t, t, frames[:, None] - 1 - t)
         s_at = np.where(pad_s, s, states[:, None] - 1 - s)
         at = (items[:, None, None] * U + t_at[:, :, None]) * len(s) + s_at[:, None, :]
-        em_rev = np.take(em, at)
-        em_rev[pad_t[:, :, None] | pad_s[:, None, :]] = NEG_INF
-        beta = np.take(_alpha(em_rev, np.take_along_axis(ext, s_at, 1)), at)
+        beta = np.take(_alpha(np.take(em_pad, at), np.take_along_axis(ext, s_at, 1)), at)
         # occupancy of symbol ext[s] at frame t; emission counted once
         occ = alpha + beta - em - log_p[:, None, None]
         grad = np.zeros((len(rows), U, x.data.shape[2]))
-        for s in range(ext.shape[1]):
-            grad[items, :, ext[:, s]] += np.exp(occ[:, :, s])
+        for j in range(ext.shape[1]):
+            grad[items, :, ext[:, j]] += np.exp(occ[:, :, j])
         full = np.zeros_like(x.data)
         full[rows, :U] = -g[rows, None, None] * grad
         return [(x, full)]

@@ -8,13 +8,15 @@ import numpy as np
 
 from . import ctc
 from .bridge import Bridge, StackConfig
-from .checkpoint import CheckpointError, ModelCheckpoint
+from .checkpoint import CheckpointError, ModelCheckpoint, check_tensors
 from .config import RunConfig, from_dict
 from .declm import DecoderLM, LmConfig
 from .encoder import ConformerEncoder, EncoderConfig
 from .frontend import NUM_MELS, FeatureMatrix, FeatureNormalizer
 from .numcore import Tensor, no_grad, ops
 from .tokenizer import CharTokenizer, mask_tokens
+
+_STATS = ("frontend.mel_mean", "frontend.mel_std")
 
 
 class AsrSystem:
@@ -54,8 +56,7 @@ class AsrSystem:
     def all_tensors(self) -> dict[str, np.ndarray]:
         out = {k: v.data for k, v in self.named_params().items()}
         if self.normalizer is not None:
-            out["frontend.mel_mean"] = self.normalizer.mean
-            out["frontend.mel_std"] = self.normalizer.std
+            out.update(zip(_STATS, (self.normalizer.mean, self.normalizer.std)))
         return out
 
     # -- forward ----------------------------------------------------------
@@ -104,29 +105,36 @@ class AsrSystem:
 
     # -- checkpoint interop ------------------------------------------------
 
-    def to_checkpoint(self, metadata: dict | None = None) -> ModelCheckpoint:
-        meta = {"tokenizer": self.tokenizer.to_dict()}
-        meta.update(metadata or {})
-        return ModelCheckpoint(config=self.cfg.to_dict(),
-                               tensors=self.all_tensors(), metadata=meta)
+    def to_checkpoint(self, metadata: dict | None = None,
+                      tensors: dict[str, np.ndarray] | None = None) -> ModelCheckpoint:
+        """This system's config and tokenizer with `tensors` (by default
+        all_tensors()) and any extra metadata."""
+        meta = {"tokenizer": self.tokenizer.to_dict(), **(metadata or {})}
+        return ModelCheckpoint(config=self.cfg.to_dict(), metadata=meta,
+                               tensors=self.all_tensors() if tensors is None else tensors)
 
     def load_tensors(self, tensors: dict[str, np.ndarray],
-                     require_all: bool = True) -> None:
+                     prefixes: tuple[str, ...] = ("",)) -> None:
+        """Load the system tensors whose names start with one of `prefixes`.
+        Under those prefixes `tensors` must hold exactly named_params(), plus
+        finite (80,) feature statistics with std > 0 when frontend.normalize
+        is on; they become the normalizer."""
         params = self.named_params()
-        for name, arr in tensors.items():
-            if name.startswith("frontend."):
-                continue
-            target = params.get(name)
-            if target is None:
-                raise CheckpointError(f"checkpoint tensor {name!r} has no home")
-            if target.data.shape != arr.shape:
-                raise CheckpointError(
-                    f"{name}: shape {arr.shape} != model {target.data.shape}")
-            target.data = arr.astype(target.data.dtype)
-        if require_all:
-            missing = set(params) - set(tensors)
-            if missing:
-                raise CheckpointError(f"checkpoint missing tensors {sorted(missing)}")
+        expected = {k: v.shape for k, v in params.items()}
+        if self.cfg.frontend.normalize:
+            expected.update(dict.fromkeys(_STATS, (NUM_MELS,)))
+        expected = {k: v for k, v in expected.items() if k.startswith(prefixes)}
+        check_tensors(expected, {k: v for k, v in tensors.items() if k.startswith(prefixes)},
+                      "checkpoint")
+        for name, p in params.items():
+            if name in expected:
+                p.data = tensors[name].astype(p.data.dtype)
+        if _STATS[0] in expected:
+            mean, std = (tensors[k].astype(np.float32) for k in _STATS)
+            if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+                raise CheckpointError("feature statistics need a finite mean "
+                                      "and a finite std > 0")
+            self.normalizer = FeatureNormalizer(mean=mean, std=std)
 
     @classmethod
     def from_encoder_checkpoint(cls, cfg: RunConfig, ckpt: ModelCheckpoint,
@@ -137,22 +145,12 @@ class AsrSystem:
         and adapters are freshly initialized from `seed`. With
         frontend.normalize off there is no normalizer, as in training.
         """
-        stats = ckpt.namespace("frontend.mel_")
-        normalizer = None
         try:
-            if stats and cfg.frontend.normalize:
-                mean, std = stats["mean"].astype(np.float32), stats["std"].astype(np.float32)
-                if not (mean.shape == std.shape == (NUM_MELS,) and np.isfinite(mean).all()
-                        and np.isfinite(std).all() and (std > 0).all()):
-                    raise ValueError(f"need finite ({NUM_MELS},) mean and std, std > 0; "
-                                     f"got shapes {mean.shape} and {std.shape}")
-                normalizer = FeatureNormalizer(mean=mean, std=std)
             tokenizer = CharTokenizer.from_dict(ckpt.metadata["tokenizer"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"bad feature statistics or tokenizer: {exc!r}") from exc
-        system = cls(cfg, tokenizer, normalizer, seed=seed)
-        system.load_tensors({k: v for k, v in ckpt.tensors.items()
-                             if k.startswith("encoder.")}, require_all=False)
+            raise CheckpointError(f"bad tokenizer: {exc!r}") from exc
+        system = cls(cfg, tokenizer, seed=seed)
+        system.load_tensors(ckpt.tensors, ("encoder.", "frontend."))
         return system
 
     @classmethod

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import frontend
-from .checkpoint import (CheckpointError, ModelCheckpoint, load_checkpoint,
-                         save_checkpoint)
+from .checkpoint import (CheckpointError, ModelCheckpoint, check_tensors,
+                         load_checkpoint, save_checkpoint)
 from .config import RunConfig, StageSection
 from .numcore import (AdamState, NonFiniteGradientError, Tensor, adam_step,
                       clip_grad_norm, no_grad, ops, schedule_lr)
@@ -87,15 +87,11 @@ def balanced_sampler(per_language_hours: dict[str, float], alpha: float,
         warnings.warn(f"languages with no data excluded: {empty}")
     if not langs:
         raise ValueError("no language has data")
-    hours = [per_language_hours[l] for l in langs]
-    try:
-        weights = np.array([h ** alpha for h in hours])
-    except OverflowError:
-        weights = np.array([math.inf])
-    if not 0.0 < weights.sum() < math.inf:
-        # every weight underflowed, or one overflowed: normalise in log space
-        log_weights = alpha * np.log(hours)
-        weights = np.exp(log_weights - log_weights.max())
+    # in log space from the heaviest language: for any finite alpha each weight
+    # is in [0, 1] (an exponent that overflows is -inf) and the heaviest is 1
+    log_hours = [math.log(per_language_hours[l]) for l in langs]
+    ref = max(log_hours) if alpha >= 0 else min(log_hours)
+    weights = np.array([math.exp(alpha * (h - ref)) for h in log_hours])
     return langs[rng.choice(len(langs), p=weights / weights.sum())]
 
 
@@ -295,20 +291,13 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
         expected.update({f"adam.{m}.{n}": spec.params[n].shape for m in "mv" for n in names})
         if any(k.startswith("best.") for k in saved.tensors):
             expected.update({"best." + k: shape for k, shape in model.items()})
-        found = {k: v.shape for k, v in saved.tensors.items()}
-        differ = [f"{k} saved {found.get(k, 'none')}, run {expected.get(k, 'none')}"
-                  for k in sorted(set(expected) | set(found))
-                  if found.get(k) != expected.get(k)]
-        if differ:
-            raise CheckpointError(f"{state_path}: state tensors differ from this run: "
-                                  + "; ".join(differ))
+        check_tensors(expected, saved.tensors, state_path)
+        system.load_tensors({k: saved.tensors[k] for k in model}, spec.keep)
         adam.step = state.adam_step
         for i, n in enumerate(names):
             adam.m[i][...] = saved.tensors["adam.m." + n]
             adam.v[i][...] = saved.tensors["adam.v." + n]
         best = saved.namespace("best.") or None
-        system.load_tensors({k: v for k, v in saved.tensors.items()
-                             if not k.startswith(("adam.", "best."))}, require_all=False)
 
     def save_state():
         state.adam_step = adam.step
@@ -317,9 +306,8 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
             tensors["adam.m." + n] = m
             tensors["adam.v." + n] = v
         tensors.update({"best." + k: v for k, v in (best or {}).items()})
-        save_checkpoint(state_path, ModelCheckpoint(
-            config=cfg.to_dict(), tensors=tensors,
-            metadata={"tokenizer": system.tokenizer.to_dict(), "train_state": asdict(state)}))
+        save_checkpoint(state_path, system.to_checkpoint({"train_state": asdict(state)},
+                                                         tensors))
 
     diverged = False
     max_steps = spec.section.max_steps
@@ -373,11 +361,9 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
         best = {k: v.copy() for k, v in spec.model_tensors().items()}
 
     _write_log(out_dir, state.log)
-    ckpt = ModelCheckpoint(config=cfg.to_dict(), tensors=best,
-                           metadata={"tokenizer": system.tokenizer.to_dict(),
-                                     "stage": spec.name})
-    return TrainResult(checkpoint=ckpt, log=state.log, best_valid=state.best_valid,
-                       steps=state.step, infeasible_skipped=state.infeasible,
+    return TrainResult(checkpoint=system.to_checkpoint({"stage": spec.name}, best),
+                       log=state.log, best_valid=state.best_valid, steps=state.step,
+                       infeasible_skipped=state.infeasible,
                        stopped_early=state.evals_since_best >= tcfg.early_stop_evals,
                        diverged=diverged)
 

@@ -211,7 +211,7 @@ def test_cli_import_leaves_scipy_out():
 @pytest.mark.parametrize("override", ["encoder.max_frames=8", "lm.max_positions=4"])
 def test_audio_past_position_table_exit_3(override, toy_corpus, tmp_path):
     _, entries = toy_corpus
-    system = AsrSystem(fast_config([override]),
+    system = AsrSystem(fast_config([override, "frontend.normalize=false"]),
                        CharTokenizer.from_texts([e.text for e in entries]))
     save_checkpoint(tmp_path / "model.ckpt", system.to_checkpoint())
     assert run("transcribe", "--ckpt", str(tmp_path / "model.ckpt"),
@@ -386,6 +386,10 @@ def _mel_std_zero(ckpt):
     ckpt.tensors["frontend.mel_std"] = np.zeros(80, np.float32)
 
 
+def _mel_stats_missing(ckpt):
+    del ckpt.tensors["frontend.mel_mean"], ckpt.tensors["frontend.mel_std"]
+
+
 def _unknown_state_key(ckpt):
     ckpt.metadata["train_state"]["bogus"] = 1
 
@@ -397,9 +401,11 @@ def _missing_adam_tensor(ckpt):
 
 
 @pytest.mark.parametrize("damage", [_drop_tokenizer, _chars_not_a_list, _chars_not_strings,
-                                    _mel_stats_79_wide, _mel_mean_nan, _mel_std_zero],
+                                    _mel_stats_79_wide, _mel_mean_nan, _mel_std_zero,
+                                    _mel_stats_missing],
                          ids=["no_tokenizer", "chars_not_a_list", "chars_not_strings",
-                              "mel_stats_79_wide", "mel_mean_nan", "mel_std_zero"])
+                              "mel_stats_79_wide", "mel_mean_nan", "mel_std_zero",
+                              "mel_stats_missing"])
 def test_transcribe_with_damaged_metadata_exit_3(damage, trained, toy_corpus, tmp_path):
     out, _ = trained
     _, entries = toy_corpus
@@ -464,10 +470,30 @@ def test_resume_with_damaged_state_exit_3(damage, trained, fast_cfg_file, tmp_pa
         assert named in caplog.text
 
 
+def test_train_over_encoder_checkpoint_missing_a_tensor_exit_3(trained, fast_cfg_file,
+                                                               tmp_path, caplog):
+    out, manifest = trained
+    ckpt = load_checkpoint(out / "encoder.ckpt")
+    del ckpt.tensors["encoder.block0.wq"]
+    save_checkpoint(tmp_path / "encoder.ckpt", ckpt)
+    assert run("train", "--config", fast_cfg_file, "--manifest", str(manifest),
+               "--ckpt", str(tmp_path / "encoder.ckpt"),
+               "--out-dir", str(tmp_path)) == cli.EXIT_BAD_DATA
+    assert "encoder.block0.wq" in caplog.text
+
+
 def test_pretrain_with_vanishing_sampling_weights(toy_corpus, fast_cfg_file, tmp_path):
     """Every hours**400 underflows to 0 on the toy corpus."""
     manifest, _ = toy_corpus
     assert run("pretrain", "--config", fast_cfg_file, "--set", "training.sampling_alpha=400.0",
+               "--set", "training.pretrain.max_steps=2", "--manifest", str(manifest),
+               "--out-dir", str(tmp_path)) == 0
+
+
+def test_pretrain_with_overflowing_sampling_exponent(toy_corpus, fast_cfg_file, tmp_path):
+    """alpha * log(hours) is -inf for every toy language at alpha = 1e308."""
+    manifest, _ = toy_corpus
+    assert run("pretrain", "--config", fast_cfg_file, "--set", "training.sampling_alpha=1.0e+308",
                "--set", "training.pretrain.max_steps=2", "--manifest", str(manifest),
                "--out-dir", str(tmp_path)) == 0
 

@@ -11,7 +11,8 @@ from prefixasr.tokenizer import CharTokenizer, mask_tokens
 
 
 def make_system(extra=(), seed=0):
-    cfg = fast_config(extra)
+    """A system with no normalizer, so its config has normalization off."""
+    cfg = fast_config(["frontend.normalize=false", *extra])
     tok = CharTokenizer.from_texts(["abc de"])
     return AsrSystem(cfg, tok, seed=seed)
 
@@ -137,16 +138,32 @@ def test_from_encoder_checkpoint_copies_encoder_only():
 
 def test_load_tensors_rejects_shape_mismatch():
     system = make_system()
-    bad = {"bridge.proj.b": np.zeros(3, np.float32)}
-    with pytest.raises(CheckpointError, match="shape"):
-        system.load_tensors(bad, require_all=False)
+    bad = {**system.all_tensors(), "bridge.proj.b": np.zeros(3, np.float32)}
+    with pytest.raises(CheckpointError, match=r"bridge\.proj\.b saved \(3,\)"):
+        system.load_tensors(bad)
 
 
 def test_load_tensors_rejects_unknown_name():
     system = make_system()
-    with pytest.raises(CheckpointError, match="no home"):
-        system.load_tensors({"mystery.w": np.zeros(2, np.float32)},
-                            require_all=False)
+    bad = {**system.all_tensors(), "mystery.w": np.zeros(2, np.float32)}
+    with pytest.raises(CheckpointError, match=r"mystery\.w saved \(2,\), expected none"):
+        system.load_tensors(bad)
+
+
+def test_load_tensors_rejects_missing_tensor():
+    system = make_system()
+    bad = system.all_tensors()
+    del bad["encoder.block0.wq"]
+    with pytest.raises(CheckpointError, match=r"encoder\.block0\.wq saved none"):
+        system.load_tensors(bad)
+    # a prefix that leaves the tensor out does not need it
+    system.load_tensors(bad, ("bridge.",))
+
+
+def test_load_tensors_needs_feature_statistics_when_normalizing():
+    system = make_system(["frontend.normalize=true"])
+    with pytest.raises(CheckpointError, match=r"frontend\.mel_mean saved none"):
+        system.load_tensors(system.all_tensors())
 
 
 def randomize_adapters(system, seed=3, scale=0.1):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fast_config
 from prefixasr import ctc, trainer
@@ -102,6 +103,15 @@ def test_sampler_vanishing_weights_normalised_in_log_space():
     hours = {"aa": 1e-4, "bb": 2e-4}
     assert trainer.balanced_sampler(hours, 400.0, rng) == "bb"
     assert trainer.balanced_sampler(hours, -400.0, rng) == "aa"
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(hours=st.dictionaries(st.sampled_from(["aa", "bb", "cc", "dd"]),
+                             st.floats(min_value=0.0, exclude_min=True,
+                                       allow_infinity=False), min_size=1),
+       alpha=st.floats(allow_nan=False, allow_infinity=False))
+def test_sampler_any_finite_alpha_draws_a_language(hours, alpha):
+    assert trainer.balanced_sampler(hours, alpha, np.random.default_rng(0)) in hours
 
 
 def test_sampler_no_data_at_all():
