@@ -82,18 +82,12 @@ class DecoderLM:
                                self.lora[name + ".up"], self.lora_scale)
 
     def _block(self, i: int, x: Tensor, mask: np.ndarray | None,
-               cache: list | None = None, att_keep: np.ndarray | None = None,
+               att_keep: np.ndarray | None = None,
                ffn_keep: np.ndarray | None = None) -> Tensor:
         p = self.params
         pre = f"block{i}."
         h = ops.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
         q, k, v = (self._proj(h, pre + name) for name in ("wq", "wk", "wv"))
-        if cache is not None:
-            kbuf, vbuf, n = cache[i]
-            end = n + k.shape[1]
-            kbuf[:, n:end], vbuf[:, n:end] = k.data, v.data
-            cache[i] = (kbuf, vbuf, end)
-            k, v = Tensor(kbuf[:, :end]), Tensor(vbuf[:, :end])
         att = attention(q, k, v, self.config.num_heads, mask=mask, keep=att_keep)
         x = x + self._proj(att, pre + "wo")
         h = ops.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
@@ -103,18 +97,17 @@ class DecoderLM:
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
-    def _logits(self, x: Tensor, lengths: list[int], mask: np.ndarray | None,
-                cache: list | None = None, rng: np.random.Generator | None = None) -> Tensor:
+    def _logits(self, x: Tensor, lengths: list[int], mask: np.ndarray,
+                rng: np.random.Generator | None = None) -> Tensor:
         """Per-position logits (B, S, vocab) of the embedded right-padded rows
         x (B, S, d) whose items have `lengths` positions: layers, final norm,
         output projection. The causal mask is the only mask: a valid query
-        never sees the padded keys after it. With a cache, x extends the
-        cached keys/values. Dropout runs only with an rng."""
+        never sees the padded keys after it. Dropout runs only with an rng."""
         cfg = self.config
         keeps = dropout_keeps(rng, cfg.dropout, cfg.num_layers, cfg.num_heads,
                               cfg.ffn_dim, lengths, x.data.dtype)
         for i, (att_keep, ffn_keep) in enumerate(keeps):
-            x = self._block(i, x, mask, cache, att_keep, ffn_keep)
+            x = self._block(i, x, mask, att_keep, ffn_keep)
         x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
         return ops.linear(x, self.params["out.w"], self.params["out.b"])
 
@@ -173,36 +166,50 @@ class DecoderLM:
 
     def greedy_decode(self, audio_embeds: Tensor | None,
                       max_len: int = MAX_DECODE_TOKENS) -> list[int]:
-        """Deterministic argmax decoding with an incremental KV cache: the
-        first step runs [audio || bos] under a causal mask, each later step
-        runs the last token alone. Each layer's cache is one K and one V
-        buffer (1, max_positions, d) over the whole position table plus its
-        filled length; a step writes its rows in place. Stops at max_len
-        tokens, at eos, or when the position table is full."""
+        """Deterministic argmax decoding on plain arrays, off the tape. One
+        step serves the [audio || bos] prefill under a causal mask, then each
+        token alone; per layer it runs one fused q|k|v projection into a
+        head-major cache (L, 2, h, max_positions, dh), adapters folded in.
+        Stops at max_len tokens, at eos, or when the position table is full."""
         cfg = self.config
+        h, d = cfg.num_heads, cfg.d_llm
         with no_grad():
-            x, lengths = self._embed([audio_embeds], [[cfg.bos_id]])
-            shape, dtype = (1, cfg.max_positions, cfg.d_llm), x.data.dtype
-            cache = [(np.empty(shape, dtype), np.empty(shape, dtype), 0)
-                     for _ in range(cfg.num_layers)]
-            pos, mask = x.shape[1], causal_mask(x.shape[1], dtype=dtype)
-            out: list[int] = []
-            while True:
-                next_id = int(self._logits(x, lengths, mask, cache).data[0, -1].argmax())
-                if len(out) >= max_len or next_id == cfg.eos_id:
-                    return out
-                out.append(next_id)
-                if pos >= cfg.max_positions - 1:
-                    return out
-                x = ops.embedding(self.params["tok"], np.array([[next_id]]))
-                x = x + ops.narrow(self.params["pos"], 0, pos, 1)
-                lengths, mask, pos = [1], None, pos + 1
+            x = self._embed([audio_embeds], [[cfg.bos_id]])[0].data[0]
+        w = {name: t.data for name, t in self.merged_params().items()}
+        blocks = [{n.removeprefix(pre): a for n, a in w.items() if n.startswith(pre)}
+                  for pre in (f"block{i}." for i in range(cfg.num_layers))]
+        for b in blocks:
+            b["qkv"] = np.concatenate([b["wq"], b["wk"], b["wv"]], axis=1)
+            b["qkv.b"] = np.concatenate([b["wq.b"], b["wk.b"], b["wv.b"]])
+        cache = np.empty((cfg.num_layers, 2, h, cfg.max_positions, d // h), x.dtype)
+        n, mask, out = 0, causal_mask(len(x), dtype=x.dtype), []
+        while True:
+            m, end = len(x), n + len(x)
+            for kv, b in zip(cache, blocks):
+                hn = ops.layer_norm_array(x, b["ln1.g"], b["ln1.b"])[0]
+                qkv = (hn @ b["qkv"] + b["qkv.b"]).reshape(m, 3, h, -1).transpose(1, 2, 0, 3)
+                kv[:, :, n:end] = qkv[1:]
+                att = ops.attention_weights(qkv[0], kv[0, :, :end], mask)[0] @ kv[1, :, :end]
+                x = x + (att.transpose(1, 0, 2).reshape(m, d) @ b["wo"] + b["wo.b"])
+                hn = ops.layer_norm_array(x, b["ln2.g"], b["ln2.b"])[0]
+                f = ops.swish_array(hn @ b["ffn1.w"] + b["ffn1.b"])[0]
+                x = x + (f @ b["ffn2.w"] + b["ffn2.b"])
+            hn = ops.layer_norm_array(x[-1], w["ln_f.g"], w["ln_f.b"])[0]
+            next_id = int((hn @ w["out.w"] + w["out.b"]).argmax())
+            if len(out) >= max_len or next_id == cfg.eos_id:
+                return out
+            out.append(next_id)
+            if end >= cfg.max_positions - 1:
+                return out
+            x = w["tok"][[next_id]] + w["pos"][end:end + 1]
+            n, mask = end, None
 
     def merged_params(self) -> dict[str, Tensor]:
-        """Base weights with every adapter folded in; adapter-free forward."""
+        """Base weights with every adapter folded in; adapter-free forward.
+        A weight without an adapter is the base array itself, not a copy."""
         out = {}
         for name, w in self.params.items():
             down, up = self.lora.get(name + ".down"), self.lora.get(name + ".up")
-            out[name] = Tensor(w.data.copy() if down is None else w.data + (
+            out[name] = Tensor(w.data if down is None else w.data + (
                 self.lora_scale * (down.data @ up.data)).astype(w.data.dtype))
         return out

@@ -87,6 +87,9 @@ def load_audio(path) -> Waveform:
         raise AudioError(f"cannot read {path}: {exc}") from exc
     if width != 2:
         raise AudioError(f"{path}: only PCM16 supported, got sample width {width}")
+    if len(raw) % (width * channels):
+        raise AudioError(f"{path}: truncated data chunk, {len(raw)} bytes is not a "
+                         f"whole number of {width * channels}-byte frames")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
     if channels > 1:
         pcm = pcm.reshape(-1, channels).mean(axis=1)

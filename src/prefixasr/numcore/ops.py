@@ -210,9 +210,14 @@ def sigmoid(a: Tensor) -> Tensor:
     return make(out, (a,), backward)
 
 
+def swish_array(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * sigmoid(a), and sigmoid(a)."""
+    sig = 1.0 / (1.0 + np.exp(-a))
+    return a * sig, sig
+
+
 def swish(a: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = a.data * sig
+    out, sig = swish_array(a.data)
 
     def backward(g):
         return [(a, g * (sig + a.data * sig * (1.0 - sig)))]
@@ -273,16 +278,23 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return make(out, (a,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                     eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the last axis: the output, the standardised x and
+    1 / sqrt(var + eps)."""
     # one pass over x for the mean and one for the variance; the same
     # arithmetic as x.mean/x.var, without var recomputing the mean
-    d = x.data.shape[-1]
-    mu = np.add.reduce(x.data, -1, keepdims=True) / d
-    xc = x.data - mu
+    d = x.shape[-1]
+    mu = np.add.reduce(x, -1, keepdims=True) / d
+    xc = x - mu
     var = np.add.reduce(xc * xc, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    out, xhat, inv = layer_norm_array(x.data, gain.data, bias.data, eps)
 
     def backward(g):
         dxhat = g * gain.data
@@ -464,6 +476,21 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
     return make(out, (x, w, b, down, up), backward)
 
 
+def attention_weights(qh: np.ndarray, kh: np.ndarray,
+                      mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Attention weights of per-head queries qh (..., Tq, dh) over keys
+    kh (..., Tk, dh): the max-subtracted softmax over Tk of q k^T / sqrt(dh)
+    plus the additive mask; and the scale 1 / sqrt(dh)."""
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=scores.dtype)
+    scores = scores * scale
+    if mask is not None:
+        scores = scores + mask
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    return e / e.sum(axis=-1, keepdims=True), scale
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
               mask: np.ndarray | None = None,
               keep: np.ndarray | None = None) -> Tensor:
@@ -491,14 +518,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         return a.transpose(heads).reshape(*lead, a.shape[-2], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = np.matmul(qh, kh.transpose(swap))
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=scores.dtype)
-    scores = scores * scale
-    if mask is not None:
-        scores = scores + mask
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    weights = e / e.sum(axis=-1, keepdims=True)
+    weights, scale = attention_weights(qh, kh, mask)
     kept = weights if keep is None else weights * keep
     out = merge(np.matmul(kept, vh))
 

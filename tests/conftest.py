@@ -52,3 +52,14 @@ def write_patched_rate_wav(path, rate=0):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, 24, rate)  # fmt chunk: nSamplesPerSec
     path.write_bytes(bytes(blob))
+
+
+def write_truncated_wav(path, channels, cut):
+    """A 4000-frame 16 kHz PCM16 WAV with the last `cut` bytes of its data
+    chunk cut off; the header still claims all 4000 frames."""
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(channels)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(np.zeros(4000 * channels, dtype="<i2").tobytes())
+    path.write_bytes(path.read_bytes()[:-cut])

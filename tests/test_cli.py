@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FAST_OVERRIDES, fast_config, write_patched_rate_wav
+from conftest import (FAST_OVERRIDES, fast_config, write_patched_rate_wav,
+                      write_truncated_wav)
 from prefixasr import cli
 from prefixasr.checkpoint import file_digest, load_checkpoint, save_checkpoint
 from prefixasr.system import AsrSystem
@@ -109,17 +110,46 @@ def test_transcribe_zero_sample_rate_exit_3(trained, tmp_path):
                str(tmp_path / "r0.wav")) == cli.EXIT_BAD_DATA
 
 
-def test_eval_skips_zero_sample_rate(trained, tmp_path):
+def eval_skipped(trained, tmp_path, bad):
+    """Run eval over the trained manifest plus the file `bad`; it must exit 0.
+    Returns the report's skipped entries."""
     out, manifest = trained
-    bad = tmp_path / "r0.wav"
-    write_patched_rate_wav(bad)
     lines = Path(manifest).read_text().splitlines()
     lines.append(json.dumps({"audio_path": str(bad), "text": "a b", "language": "aa"}))
     (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
     assert run("eval", "--ckpt", str(out / "model.ckpt"), "--manifest",
                str(tmp_path / "m.jsonl"), "--out-dir", str(tmp_path)) == 0
-    skipped = json.loads((tmp_path / "report.json").read_text())["skipped"]
+    return json.loads((tmp_path / "report.json").read_text())["skipped"]
+
+
+def test_eval_skips_zero_sample_rate(trained, tmp_path):
+    bad = tmp_path / "r0.wav"
+    write_patched_rate_wav(bad)
+    skipped = eval_skipped(trained, tmp_path, bad)
     assert [s["audio_path"] for s in skipped] == [str(bad)]
+
+
+# a data chunk that ends mid-sample (mono, one byte short) or with an odd
+# sample count (stereo, one sample short)
+TRUNCATED = pytest.mark.parametrize("channels, cut", [(1, 1), (2, 2)],
+                                    ids=["mono_mid_sample", "stereo_mid_frame"])
+
+
+@TRUNCATED
+def test_transcribe_truncated_wav_exit_3(trained, tmp_path, channels, cut):
+    out, _ = trained
+    write_truncated_wav(tmp_path / "cut.wav", channels, cut)
+    assert run("transcribe", "--ckpt", str(out / "model.ckpt"),
+               str(tmp_path / "cut.wav")) == cli.EXIT_BAD_DATA
+
+
+@TRUNCATED
+def test_eval_skips_truncated_wav(trained, tmp_path, channels, cut):
+    bad = tmp_path / "cut.wav"
+    write_truncated_wav(bad, channels, cut)
+    skipped = eval_skipped(trained, tmp_path, bad)
+    assert [s["audio_path"] for s in skipped] == [str(bad)]
+    assert "truncated data chunk" in skipped[0]["reason"]
 
 
 def test_eval_writes_report_files(trained, tmp_path):

@@ -275,21 +275,22 @@ class TestGreedyDecode:
 
     def test_cache_fills_the_position_table(self):
         """The preallocated cache holds max_positions rows; decode up to its
-        last row, whatever the prefix length, and check each token against
-        the argmax of a full recompute."""
+        last row, whatever the prefix length (none at M = 0), and check each
+        token against the argmax of a full recompute, for a base LM and for
+        one with live adapters."""
         with nc.use_dtype(np.float64):
-            lm = tiny_lm(seed=8)
-            lm.params["out.b"].data[lm.config.eos_id] = -1e9  # eos unreachable
-            rng = np.random.default_rng(9)
-            for M in (2, 61, 62, 63):
-                a = Tensor(rng.standard_normal((M, 16)))
-                with nc.no_grad():
-                    out = lm.greedy_decode(a, max_len=200)
-                    logits = lm.forward_mixed(a, [lm.config.bos_id] + out[:-1]).data
-                # [audio || bos] alone fills the table at M = 63
-                assert len(out) == max(64 - M - 1, 1)
-                assert logits.shape[0] == M + len(out)
-                assert logits[M:].argmax(axis=1).tolist() == out
+            for lm in (tiny_lm(seed=8), adapted_lm(8, up_scale=0.3)):
+                lm.params["out.b"].data[lm.config.eos_id] = -1e9  # eos unreachable
+                rng = np.random.default_rng(9)
+                for M in (0, 2, 61, 62, 63):
+                    a = Tensor(rng.standard_normal((M, 16))) if M else None
+                    with nc.no_grad():
+                        out = lm.greedy_decode(a, max_len=200)
+                        logits = lm.forward_mixed(a, [lm.config.bos_id] + out[:-1]).data
+                    # [audio || bos] alone fills the table at M = 63
+                    assert len(out) == max(64 - M - 1, 1)
+                    assert logits.shape[0] == M + len(out)
+                    assert logits[M:].argmax(axis=1).tolist() == out
 
     def test_repeated_decodes_identical(self):
         lm = tiny_lm(seed=5, rank=2)
