@@ -8,6 +8,7 @@ LoRA adapters on the attention q/k/v/output projections carry the update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,43 +167,56 @@ class DecoderLM:
 
     def greedy_decode(self, audio_embeds: Tensor | None,
                       max_len: int = MAX_DECODE_TOKENS) -> list[int]:
-        """Deterministic argmax decoding on plain arrays, off the tape. One
-        step serves the [audio || bos] prefill under a causal mask, then each
-        token alone; per layer it runs one fused q|k|v projection into a
-        head-major cache (L, 2, h, max_positions, dh), adapters folded in.
-        Stops at max_len tokens, at eos, or when the position table is full."""
+        """Deterministic argmax decoding on plain arrays, off the tape, over
+        decode-ready weights built once per call from `merged_params()`: each
+        layer norm's gain and bias are folded into the projection after it
+        (ln1 into the fused q|k|v, whose q columns also carry 1/sqrt(dh); ln2
+        into ffn1; ln_f into out). The [audio || bos] prefill runs as rows
+        under a causal mask, then each token as one (d,) row. Stops at max_len
+        tokens, at eos, or when the position table is full."""
         cfg = self.config
-        h, d = cfg.num_heads, cfg.d_llm
+        h, d, P = cfg.num_heads, cfg.d_llm, cfg.max_positions
+        dh = d // h
         with no_grad():
             x = self._embed([audio_embeds], [[cfg.bos_id]])[0].data[0]
         w = {name: t.data for name, t in self.merged_params().items()}
-        blocks = [{n.removeprefix(pre): a for n, a in w.items() if n.startswith(pre)}
-                  for pre in (f"block{i}." for i in range(cfg.num_layers))]
-        for b in blocks:
-            b["qkv"] = np.concatenate([b["wq"], b["wk"], b["wv"]], axis=1)
-            b["qkv.b"] = np.concatenate([b["wq.b"], b["wk.b"], b["wv.b"]])
-        cache = np.empty((cfg.num_layers, 2, h, cfg.max_positions, d // h), x.dtype)
-        n, mask, out = 0, causal_mask(len(x), dtype=x.dtype), []
+        layers = []
+        for pre in (f"block{i}." for i in range(cfg.num_layers)):
+            qkv = (np.concatenate([w[pre + "wq" + s] / math.sqrt(dh), w[pre + "wk" + s],
+                                   w[pre + "wv" + s]], axis=-1) for s in ("", ".b"))
+            # the cache: keys transposed (h, dh, P), so scores are one matmul
+            layers.append((np.empty((h, dh, P), x.dtype), np.empty((h, P, dh), x.dtype),
+                           *_fold(w, pre + "ln1", *qkv), w[pre + "wo"], w[pre + "wo.b"],
+                           *_fold(w, pre + "ln2", w[pre + "ffn1.w"], w[pre + "ffn1.b"]),
+                           w[pre + "ffn2.w"], w[pre + "ffn2.b"]))
+        out_w, out_b = _fold(w, "ln_f", w["out.w"], w["out.b"])
+        end, mask, out = len(x), causal_mask(len(x), dtype=x.dtype), []
+        for kt, vs, qkv, qkv_b, wo, wo_b, f1, f1_b, f2, f2_b in layers:
+            q, k, v = np.moveaxis((_standardise(x) @ qkv + qkv_b).reshape(end, 3, h, dh), 0, 2)
+            kt[:, :, :end] = k.transpose(0, 2, 1)
+            vs[:, :end] = v
+            att = _softmax(q @ kt[:, :, :end] + mask) @ vs[:, :end]
+            x = x + (att.transpose(1, 0, 2).reshape(end, d) @ wo + wo_b)
+            a = _standardise(x) @ f1 + f1_b
+            x = x + ((a / (1 + np.exp(-a))) @ f2 + f2_b)
+        x = x[-1]
         while True:
-            m, end = len(x), n + len(x)
-            for kv, b in zip(cache, blocks):
-                hn = ops.layer_norm_array(x, b["ln1.g"], b["ln1.b"])[0]
-                qkv = (hn @ b["qkv"] + b["qkv.b"]).reshape(m, 3, h, -1).transpose(1, 2, 0, 3)
-                kv[:, :, n:end] = qkv[1:]
-                att = ops.attention_weights(qkv[0], kv[0, :, :end], mask)[0] @ kv[1, :, :end]
-                x = x + (att.transpose(1, 0, 2).reshape(m, d) @ b["wo"] + b["wo.b"])
-                hn = ops.layer_norm_array(x, b["ln2.g"], b["ln2.b"])[0]
-                f = ops.swish_array(hn @ b["ffn1.w"] + b["ffn1.b"])[0]
-                x = x + (f @ b["ffn2.w"] + b["ffn2.b"])
-            hn = ops.layer_norm_array(x[-1], w["ln_f.g"], w["ln_f.b"])[0]
-            next_id = int((hn @ w["out.w"] + w["out.b"]).argmax())
+            next_id = int((_standardise(x) @ out_w + out_b).argmax())
             if len(out) >= max_len or next_id == cfg.eos_id:
                 return out
             out.append(next_id)
-            if end >= cfg.max_positions - 1:
+            if end >= P - 1:
                 return out
-            x = w["tok"][[next_id]] + w["pos"][end:end + 1]
-            n, mask = end, None
+            x = w["tok"][next_id] + w["pos"][end]
+            end += 1
+            for kt, vs, qkv, qkv_b, wo, wo_b, f1, f1_b, f2, f2_b in layers:
+                q, k, v = (_standardise(x) @ qkv + qkv_b).reshape(3, h, dh)
+                kt[:, :, end - 1] = k
+                vs[:, end - 1] = v
+                att = _softmax(q[:, None] @ kt[:, :, :end]) @ vs[:, :end]
+                x = x + (att.reshape(d) @ wo + wo_b)
+                a = _standardise(x) @ f1 + f1_b
+                x = x + ((a / (1 + np.exp(-a))) @ f2 + f2_b)
 
     def merged_params(self) -> dict[str, Tensor]:
         """Base weights with every adapter folded in; adapter-free forward.
@@ -213,3 +227,26 @@ class DecoderLM:
             out[name] = Tensor(w.data if down is None else w.data + (
                 self.lora_scale * (down.data @ up.data)).astype(w.data.dtype))
         return out
+
+
+def _fold(w: dict, norm: str, weight: np.ndarray, bias: np.ndarray) -> tuple:
+    """The weight and bias that map standardised rows straight to the layer
+    norm `norm` followed by (weight, bias)."""
+    return w[norm + ".g"][:, None] * weight, w[norm + ".b"] @ weight + bias
+
+
+def _standardise(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Layer norm without gain and bias: of rows (m, d) by the tape's
+    arithmetic, of one row (d,) with its two statistics as Python floats."""
+    if x.ndim == 2:
+        return ops.layer_norm_array(x, 1.0, 0.0, eps)[1]
+    xc = x - float(np.add.reduce(x)) / len(x)
+    return xc * (1.0 / math.sqrt(float(xc @ xc) / len(x) + eps))
+
+
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """The max-subtracted softmax over the last axis, in place."""
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores

@@ -169,7 +169,7 @@ def log_mel(waveform: Waveform, normalizer: FeatureNormalizer | None = None) -> 
     mel_energy = spectrum @ _FILTERBANK.T
     feats = np.log(np.maximum(mel_energy, LOG_FLOOR)).astype(np.float32)
     if normalizer is not None:
-        feats = normalizer.apply(feats).astype(np.float32)
+        feats = normalizer.apply(feats).astype(np.float32, copy=False)
     if not np.all(np.isfinite(feats)):
         raise AudioError("non-finite values in features")
     return FeatureMatrix(frames=feats)

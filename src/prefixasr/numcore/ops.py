@@ -336,7 +336,9 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 def _pad_time(a: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the time axis (second to last) by `pad` on both sides."""
-    return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(pad, pad), (0, 0)])
+    out = np.zeros((*a.shape[:-2], a.shape[-2] + 2 * pad, a.shape[-1]), a.dtype)
+    out[..., pad:pad + a.shape[-2], :] = a
+    return out
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:

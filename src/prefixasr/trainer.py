@@ -104,7 +104,7 @@ class PreparedUtterance:
     def features(self, normalizer) -> frontend.FeatureMatrix:
         frames = self.raw_frames
         if normalizer is not None:
-            frames = normalizer.apply(frames).astype(np.float32)
+            frames = normalizer.apply(frames).astype(np.float32, copy=False)
         return frontend.FeatureMatrix(frames=frames)
 
 

@@ -251,6 +251,23 @@ class TestDropoutKeeps:
         assert rng.random() == generator(0, "keep").random()
 
 
+def check_decode_to_table_end(lm, seed):
+    """The preallocated cache holds max_positions rows; decode up to its last
+    row, whatever the prefix length (none at M = 0), and check each token
+    against the argmax of a full recompute."""
+    lm.params["out.b"].data[lm.config.eos_id] = -1e9  # eos unreachable
+    rng = np.random.default_rng(seed)
+    for M in (0, 2, 61, 62, 63):
+        a = Tensor(rng.standard_normal((M, 16))) if M else None
+        with nc.no_grad():
+            out = lm.greedy_decode(a, max_len=200)
+            logits = lm.forward_mixed(a, [lm.config.bos_id] + out[:-1]).data
+        # [audio || bos] alone fills the table at M = 63
+        assert len(out) == max(64 - M - 1, 1)
+        assert logits.shape[0] == M + len(out)
+        assert logits[M:].argmax(axis=1).tolist() == out
+
+
 class TestGreedyDecode:
     def test_eos_model_gives_empty(self):
         lm = tiny_lm(seed=3)
@@ -274,23 +291,22 @@ class TestGreedyDecode:
             assert lm.greedy_decode(a, max_len=0) == []
 
     def test_cache_fills_the_position_table(self):
-        """The preallocated cache holds max_positions rows; decode up to its
-        last row, whatever the prefix length (none at M = 0), and check each
-        token against the argmax of a full recompute, for a base LM and for
-        one with live adapters."""
+        """Float64, for a base LM and for one with live adapters."""
         with nc.use_dtype(np.float64):
             for lm in (tiny_lm(seed=8), adapted_lm(8, up_scale=0.3)):
-                lm.params["out.b"].data[lm.config.eos_id] = -1e9  # eos unreachable
-                rng = np.random.default_rng(9)
-                for M in (0, 2, 61, 62, 63):
-                    a = Tensor(rng.standard_normal((M, 16))) if M else None
-                    with nc.no_grad():
-                        out = lm.greedy_decode(a, max_len=200)
-                        logits = lm.forward_mixed(a, [lm.config.bos_id] + out[:-1]).data
-                    # [audio || bos] alone fills the table at M = 63
-                    assert len(out) == max(64 - M - 1, 1)
-                    assert logits.shape[0] == M + len(out)
-                    assert logits[M:].argmax(axis=1).tolist() == out
+                check_decode_to_table_end(lm, seed=9)
+
+    def test_folded_norms_match_full_forward(self):
+        """The decode folds each layer norm's gain and bias into the projection
+        after it. At init every gain is 1 and every bias 0, so random gains,
+        norm biases and projection biases are what make a wrong fold show."""
+        with nc.use_dtype(np.float64):
+            for lm in (tiny_lm(seed=11), adapted_lm(11, up_scale=0.3)):
+                rng = np.random.default_rng(12)
+                for name, t in lm.params.items():
+                    if name.endswith((".g", ".b")):
+                        t.data[:] = name.endswith(".g") + 0.5 * rng.standard_normal(t.shape)
+                check_decode_to_table_end(lm, seed=13)
 
     def test_repeated_decodes_identical(self):
         lm = tiny_lm(seed=5, rank=2)

@@ -190,6 +190,15 @@ def test_layer_norm_forward_matches_mean_var_formula(dtype, shape):
     np.testing.assert_array_equal(out, expect)
 
 
+@pytest.mark.parametrize("pad", [0, 1, 5])
+@pytest.mark.parametrize("shape", [(9, 4), (3, 9, 4)])
+def test_pad_time_equals_np_pad(pad, shape):
+    a = np.random.default_rng(13).standard_normal(shape).astype(np.float32)
+    out = ops._pad_time(a, pad)
+    assert out.dtype == a.dtype
+    np.testing.assert_array_equal(out, np.pad(a, [(0, 0)] * (a.ndim - 2) + [(pad, pad), (0, 0)]))
+
+
 def test_softmax_rows_sum_to_one_and_lse_safe():
     rng = np.random.default_rng(10)
     x = nc.as_tensor(rng.uniform(-1e4, 1e4, size=(20, 11)))
