@@ -54,8 +54,7 @@ def _out_dir(args) -> Path:
 
 
 def _log_model_summary(cfg):
-    rate_ms = 10.0 * cfg.encoder.subsample_stride * cfg.bridge.stack_n
-    log.info("audio embedding rate: %.0f ms per embedding", rate_ms)
+    log.info("audio embedding rate: %.0f ms per embedding", evalsuite.embedding_ms(cfg))
     d = cfg.lm.d_llm
     lora_params = cfg.lora.rank * (d + d) * len(LORA_TARGETS) * cfg.lm.num_layers
     log.info("trainable LM parameters (adapters): %d", lora_params)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import MAX_DECODE_TOKENS, LmSection
 from .frontend import AudioError
-from .layers import (attention, causal_mask, dropout_keeps, init_bias,
-                     init_embedding, init_ones, init_weight)
+from .layers import (causal_mask, dropout_keeps, init_bias, init_embedding,
+                     init_ones, init_weight)
 from .numcore import Tensor, no_grad, ops, param
 from .numcore.rng import generator
 from .tokenizer import BOS, EOS
@@ -89,7 +89,7 @@ class DecoderLM:
         pre = f"block{i}."
         h = ops.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
         q, k, v = (self._proj(h, pre + name) for name in ("wq", "wk", "wv"))
-        att = attention(q, k, v, self.config.num_heads, mask=mask, keep=att_keep)
+        att = ops.attention(q, k, v, self.config.num_heads, mask, att_keep)
         x = x + self._proj(att, pre + "wo")
         h = ops.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
         h = ops.swish(ops.linear(h, p[pre + "ffn1.w"], p[pre + "ffn1.b"]))

@@ -18,9 +18,9 @@ import numpy as np
 
 from .config import EncoderSection
 from .frontend import NUM_MELS, AudioError, FeatureMatrix
-from .layers import (attention, dropout_keeps, init_bias, init_conv_weight,
+from .layers import (dropout_keeps, init_bias, init_conv_weight,
                      init_depthwise_weight, init_embedding, init_ones,
-                     init_weight)
+                     init_weight, padding_masks)
 from .numcore import Tensor, ops
 from .numcore.rng import generator
 
@@ -29,7 +29,6 @@ from .numcore.rng import generator
 class EncoderConfig(EncoderSection):
     """The config section plus what the data decides."""
     ctc_vocab: int = 30          # non-blank symbols; head emits ctc_vocab+1
-    num_features: int = NUM_MELS
 
 
 class ConformerEncoder:
@@ -39,9 +38,9 @@ class ConformerEncoder:
         rng = generator(seed, "encoder")
         c = config.subsample_channels
         p = self.params
-        num_sub = int(math.log2(config.subsample_stride))
-        dims = [config.num_features] + [c] * num_sub
-        for i in range(num_sub):
+        self.num_sub = int(math.log2(config.subsample_stride))  # stride-2 convs
+        dims = [NUM_MELS] + [c] * self.num_sub
+        for i in range(self.num_sub):
             p[f"sub.conv{i}.w"] = init_conv_weight(rng, 3, dims[i], dims[i + 1])
             p[f"sub.conv{i}.b"] = init_bias(dims[i + 1])
         p["sub.proj.w"] = init_weight(rng, dims[-1], config.d_model)
@@ -76,42 +75,48 @@ class ConformerEncoder:
     def subsample(self, features: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
         """(..., T, 80) -> (..., ceil(T/stride), d_model) with positions added.
 
-        lengths, one per item of a padded batch, are the real frame counts."""
+        lengths, one per item of a zero-padded batch, are the real frame
+        counts; before every conv after the first, the rows past each item's
+        halved length are zeroed again."""
         p = self.params
         x = features
-        num_sub = int(math.log2(self.config.subsample_stride))
-        for i in range(num_sub):
-            x = _zero_padding(x, lengths)
+        for i in range(self.num_sub):
+            if i > 0 and lengths is not None:
+                lengths = [-(-t // 2) for t in lengths]
+                masks = padding_masks(lengths, x.shape[-2], x.data.dtype)
+                if masks is not None:
+                    x = ops.mul_const(x, masks[0])
             x = ops.conv1d(x, p[f"sub.conv{i}.w"], p[f"sub.conv{i}.b"], stride=2, pad=1)
             x = ops.swish(x)
-            if lengths is not None:
-                lengths = [-(-t // 2) for t in lengths]
         x = ops.linear(x, p["sub.proj.w"], p["sub.proj.b"])
         U = x.shape[-2]
         if U > self.config.max_frames:
             raise AudioError(f"{U} frames exceed position table {self.config.max_frames}")
         return x + ops.narrow(p["sub.pos"], 0, 0, U)
 
-    def conformer_block(self, i: int, x: Tensor, lengths: Sequence[int] | None = None,
+    def conformer_block(self, i: int, x: Tensor,
+                        masks: tuple[np.ndarray, np.ndarray] | None = None,
                         att_keep: np.ndarray | None = None,
                         ffn_keep: np.ndarray | None = None) -> Tensor:
-        """One block over (U, d) or a padded batch (B, U, d) whose items have
-        the given lengths; the keep masks are dropout masks (see
-        layers.dropout_keeps)."""
+        """One block over (U, d) or a padded batch (B, U, d) with its
+        layers.padding_masks (None: no item is padded); the keep masks are
+        dropout masks (see layers.dropout_keeps)."""
         p = self.params
         pre = f"block{i}."
         cfg = self.config
+        rows, keys = masks or (None, None)
 
         h = ops.layer_norm(x, p[pre + "ln_att.g"], p[pre + "ln_att.b"])
         q = ops.linear(h, p[pre + "wq"], p[pre + "wq.b"])
         k = ops.linear(h, p[pre + "wk"], p[pre + "wk.b"])
         v = ops.linear(h, p[pre + "wv"], p[pre + "wv.b"])
-        att = attention(q, k, v, cfg.num_heads, key_lengths=lengths, keep=att_keep)
+        att = ops.attention(q, k, v, cfg.num_heads, keys, att_keep)
         x = x + ops.linear(att, p[pre + "wo"], p[pre + "wo.b"])
 
         h = ops.layer_norm(x, p[pre + "ln_conv.g"], p[pre + "ln_conv.b"])
         h = ops.glu(ops.linear(h, p[pre + "pw1.w"], p[pre + "pw1.b"]))
-        h = _zero_padding(h, lengths)
+        if rows is not None:
+            h = ops.mul_const(h, rows)
         h = ops.depthwise_conv1d(h, p[pre + "dw.w"], p[pre + "dw.b"],
                                  pad=cfg.conv_kernel // 2)
         h = ops.layer_norm(h, p[pre + "ln_mid.g"], p[pre + "ln_mid.b"])
@@ -135,17 +140,16 @@ class ConformerEncoder:
         cfg = self.config
         lengths = [f.frames.shape[0] for f in features]
         dtype = self.params["ctc.w"].data.dtype
-        frames = np.zeros((len(features), max(lengths), cfg.num_features), dtype)
+        frames = np.zeros((len(features), max(lengths), NUM_MELS), dtype)
         for row, f in zip(frames, features):
             row[:len(f.frames)] = f.frames
         x = self.subsample(Tensor(frames), lengths)
-        U = x.shape[-2]
         out_lengths = self.output_lengths(lengths)
-        padded = out_lengths if min(out_lengths) < U else None
+        masks = padding_masks(out_lengths, x.shape[-2], dtype)
         keeps = dropout_keeps(rng, cfg.dropout, cfg.num_layers, cfg.num_heads,
                               cfg.ffn_dim, out_lengths, dtype)
         for i, (att_keep, ffn_keep) in enumerate(keeps):
-            x = self.conformer_block(i, x, padded, att_keep, ffn_keep)
+            x = self.conformer_block(i, x, masks, att_keep, ffn_keep)
         return x
 
     def ctc_logits(self, embeddings: Tensor) -> Tensor:
@@ -164,11 +168,3 @@ class ConformerEncoder:
         return (ops.log_softmax(self.ctc_logits(emb)),
                 self.output_lengths([f.frames.shape[0] for f in features]))
 
-
-def _zero_padding(x: Tensor, lengths: Sequence[int] | None) -> Tensor:
-    """Zero the rows of a padded batch (B, T, C) at and past each item's
-    length, as a convolution over one unpadded item would see them."""
-    if lengths is None or min(lengths) == x.shape[-2]:
-        return x
-    rows = np.arange(x.shape[-2]) < np.asarray(lengths)[:, None]
-    return ops.mul_const(x, rows[:, :, None].astype(x.data.dtype))

@@ -191,6 +191,13 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
+def embedding_ms(cfg) -> float:
+    """Audio time per LM input embedding: the frontend hop, times the
+    encoder's subsampling stride, times the bridge's stack_n."""
+    hop_ms = 1000.0 * frontend.HOP_SAMPLES / frontend.SAMPLE_RATE
+    return hop_ms * cfg.encoder.subsample_stride * cfg.bridge.stack_n
+
+
 def alignment_matrix(system, features, text: str,
                      utterance_id: str = "") -> AlignmentMatrix:
     """Cosine similarity of bridge outputs against the LM's input embeddings
@@ -200,10 +207,9 @@ def alignment_matrix(system, features, text: str,
         audio = system.embed_audio(features).data
     token_ids = system.tokenizer.encode(text)
     text_emb = system.lm.params["tok"].data[np.asarray(token_ids)]
-    stride_ms = 10.0 * system.cfg.encoder.subsample_stride * system.cfg.bridge.stack_n
     return AlignmentMatrix(
         values=cosine_matrix(audio.astype(np.float64), text_emb.astype(np.float64)),
-        utterance_id=utterance_id, stride_ms=stride_ms)
+        utterance_id=utterance_id, stride_ms=embedding_ms(system.cfg))
 
 
 def argmax_monotonicity(values: np.ndarray) -> float:

@@ -1,5 +1,5 @@
-"""Shared building blocks: parameter init, dropout masks and multi-head
-attention."""
+"""Shared building blocks: parameter init, dropout keep masks, and the
+causal and padding masks that ops.attention takes."""
 
 from __future__ import annotations
 
@@ -58,27 +58,20 @@ def dropout_keeps(rng: np.random.Generator | None, p: float, num_layers: int,
     return list(zip(att, ffn))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
-              mask: np.ndarray | None = None,
-              key_lengths: Sequence[int] | None = None,
-              keep: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention over one sequence or a padded batch, as
-    one ops.attention node.
-
-    q: (..., Tq, d), k/v: (..., Tk, d). mask is additive (-inf style) and
-    broadcasts to (..., h, Tq, Tk). key_lengths (one per batch item) bans
-    the padded keys at and past each length. keep is a dropout keep mask
-    over the attention weights (see dropout_keeps). Returns (..., Tq, d).
-    """
-    if key_lengths is not None:
-        cols = np.arange(k.shape[-2])
-        pad = np.where(cols < np.asarray(key_lengths)[:, None], 0.0, -1e9)
-        pad = pad[:, None, None, :].astype(q.data.dtype)  # (B, 1, 1, Tk)
-        mask = pad if mask is None else mask + pad
-    return ops.attention(q, k, v, num_heads, mask, keep)
-
-
 def causal_mask(size: int, dtype=np.float32) -> np.ndarray:
     mask = np.zeros((size, size), dtype=dtype)
     mask[np.triu_indices(size, k=1)] = -1e9
     return mask
+
+
+def padding_masks(lengths: Sequence[int], size: int,
+                  dtype) -> tuple[np.ndarray, np.ndarray] | None:
+    """Masks for a right-padded batch of `size` positions whose items have
+    `lengths`: the (B, size, 1) 0/1 row mask that zeroes the padded rows,
+    and the (B, 1, 1, size) additive key mask, -1e9 at the padded keys, for
+    ops.attention. None when no item is padded."""
+    if min(lengths) == size:
+        return None
+    real = np.arange(size) < np.asarray(lengths)[:, None]
+    keys = np.where(real, 0.0, -1e9)[:, None, None, :].astype(dtype)
+    return real[:, :, None].astype(dtype), keys

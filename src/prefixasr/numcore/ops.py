@@ -210,14 +210,9 @@ def sigmoid(a: Tensor) -> Tensor:
     return make(out, (a,), backward)
 
 
-def swish_array(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * sigmoid(a), and sigmoid(a)."""
-    sig = 1.0 / (1.0 + np.exp(-a))
-    return a * sig, sig
-
-
 def swish(a: Tensor) -> Tensor:
-    out, sig = swish_array(a.data)
+    sig = 1.0 / (1.0 + np.exp(-a.data))
+    out = a.data * sig
 
     def backward(g):
         return [(a, g * (sig + a.data * sig * (1.0 - sig)))]
@@ -478,21 +473,6 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
     return make(out, (x, w, b, down, up), backward)
 
 
-def attention_weights(qh: np.ndarray, kh: np.ndarray,
-                      mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Attention weights of per-head queries qh (..., Tq, dh) over keys
-    kh (..., Tk, dh): the max-subtracted softmax over Tk of q k^T / sqrt(dh)
-    plus the additive mask; and the scale 1 / sqrt(dh)."""
-    scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
-    scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=scores.dtype)
-    scores = scores * scale
-    if mask is not None:
-        scores = scores + mask
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    return e / e.sum(axis=-1, keepdims=True), scale
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
               mask: np.ndarray | None = None,
               keep: np.ndarray | None = None) -> Tensor:
@@ -520,7 +500,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         return a.transpose(heads).reshape(*lead, a.shape[-2], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    weights, scale = attention_weights(qh, kh, mask)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=scores.dtype)
+    scores = scores * scale
+    if mask is not None:
+        scores = scores + mask
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    weights = e / e.sum(axis=-1, keepdims=True)
     kept = weights if keep is None else weights * keep
     out = merge(np.matmul(kept, vh))
 

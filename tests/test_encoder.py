@@ -7,7 +7,7 @@ from prefixasr import ctc
 from prefixasr import numcore as nc
 from prefixasr.encoder import ConformerEncoder, EncoderConfig
 from prefixasr.frontend import FeatureMatrix
-from prefixasr.layers import attention
+from prefixasr.layers import padding_masks
 from prefixasr.numcore import Tensor, ops
 from prefixasr.numcore.rng import generator
 
@@ -134,7 +134,8 @@ class TestBatched:
             keep = ops.dropout_mask((3, 2, 5, 5), 0.3, rng, np.float64)
             wts = nc.as_tensor(rng.standard_normal((3, 5, 4)))
             report = nc.grad_check(
-                lambda: (attention(q, k, v, 2, key_lengths=lengths, keep=keep) * wts).sum(),
+                lambda: (ops.attention(q, k, v, 2, padding_masks(lengths, 5, np.float64)[1],
+                                       keep) * wts).sum(),
                 {"q": q, "k": k, "v": v})
             assert report.max_rel_error < 1e-5, report.per_param
 
@@ -143,10 +144,10 @@ class TestBatched:
         lengths = [5, 2, 4]
         with nc.use_dtype(np.float64):
             q, k, v = (Tensor(rng.standard_normal((3, 5, 4))) for _ in range(3))
-            out = attention(q, k, v, 2, key_lengths=lengths).data
+            out = ops.attention(q, k, v, 2, padding_masks(lengths, 5, np.float64)[1]).data
             for i, T in enumerate(lengths):
-                one = attention(Tensor(q.data[i, :T]), Tensor(k.data[i, :T]),
-                                Tensor(v.data[i, :T]), 2).data
+                one = ops.attention(Tensor(q.data[i, :T]), Tensor(k.data[i, :T]),
+                                    Tensor(v.data[i, :T]), 2).data
                 np.testing.assert_allclose(out[i, :T], one, rtol=1e-12, atol=1e-12)
 
     def test_batch_matches_loop_of_single_utterances(self):

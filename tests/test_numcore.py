@@ -430,8 +430,8 @@ class TestFusedAttention:
                 assert qkv[frozen].grad is None
 
     def test_gradient_with_key_lengths_and_cross_lengths(self):
-        """Through layers.attention's key-padding mask, with Tq != Tk."""
-        from prefixasr.layers import attention
+        """Through layers.padding_masks' key mask, with Tq != Tk."""
+        from prefixasr.layers import padding_masks
         rng = np.random.default_rng(31)
         with nc.use_dtype(np.float64):
             q = nc.param(rand(rng, 3, 4, 6))
@@ -439,8 +439,8 @@ class TestFusedAttention:
             keep = ops.dropout_mask((3, 3, 4, 7), 0.2, rng, np.float64)
             wts = nc.as_tensor(rand(rng, 3, 4, 6))
             report = nc.grad_check(
-                lambda: (attention(q, k, v, 3, key_lengths=[7, 2, 5], keep=keep)
-                         * wts).sum(), {"q": q, "k": k, "v": v})
+                lambda: (ops.attention(q, k, v, 3, padding_masks([7, 2, 5], 7, np.float64)[1],
+                                       keep) * wts).sum(), {"q": q, "k": k, "v": v})
             assert report.max_rel_error < 1e-5, report.per_param
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["2d", "3d", "4d"])
