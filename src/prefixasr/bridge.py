@@ -19,9 +19,9 @@ from .numcore.rng import generator
 
 @dataclass
 class StackConfig:
-    n: int = 3
-    d_encoder: int = 64
-    d_llm: int = 128
+    n: int
+    d_encoder: int
+    d_llm: int
 
 
 def stacked_length(U: int, n: int) -> int:

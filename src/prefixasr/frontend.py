@@ -146,7 +146,7 @@ class FeatureNormalizer:
     std: np.ndarray   # (80,)
 
     def apply(self, frames: np.ndarray) -> np.ndarray:
-        return (frames - self.mean) / self.std
+        return ((frames - self.mean) / self.std).astype(np.float32, copy=False)
 
     @staticmethod
     def fit(matrices: list[np.ndarray]) -> "FeatureNormalizer":
@@ -169,7 +169,7 @@ def log_mel(waveform: Waveform, normalizer: FeatureNormalizer | None = None) -> 
     mel_energy = spectrum @ _FILTERBANK.T
     feats = np.log(np.maximum(mel_energy, LOG_FLOOR)).astype(np.float32)
     if normalizer is not None:
-        feats = normalizer.apply(feats).astype(np.float32, copy=False)
+        feats = normalizer.apply(feats)
     if not np.all(np.isfinite(feats)):
         raise AudioError("non-finite values in features")
     return FeatureMatrix(frames=feats)

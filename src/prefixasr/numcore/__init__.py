@@ -1,4 +1,4 @@
-from .tensor import Tensor, ShapeError, as_tensor, param, no_grad, use_dtype, default_dtype
+from .tensor import Tensor, ShapeError, as_tensor, param, no_grad, use_dtype
 from . import ops
 from .optim import (AdamState, LrSchedule, NonFiniteGradientError, adam_step,
                     clip_grad_norm, schedule_lr)
@@ -7,7 +7,7 @@ from .rng import generator
 
 __all__ = [
     "Tensor", "ShapeError", "as_tensor", "param", "no_grad", "use_dtype",
-    "default_dtype", "ops", "AdamState", "LrSchedule", "NonFiniteGradientError",
+    "ops", "AdamState", "LrSchedule", "NonFiniteGradientError",
     "adam_step", "clip_grad_norm", "schedule_lr", "GradCheckReport",
     "grad_check", "generator",
 ]

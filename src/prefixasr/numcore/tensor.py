@@ -22,10 +22,6 @@ _GRAD_ENABLED = True
 _CLOCK = itertools.count()
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 @contextlib.contextmanager
 def use_dtype(dtype):
     """Temporarily switch the dtype new tensors are created with."""

@@ -9,7 +9,7 @@ import numpy as np
 from . import ctc
 from .bridge import Bridge, StackConfig
 from .checkpoint import CheckpointError, ModelCheckpoint, check_tensors
-from .config import RunConfig, from_dict
+from .config import ConfigError, RunConfig, from_dict
 from .declm import DecoderLM, LmConfig
 from .encoder import ConformerEncoder, EncoderConfig
 from .frontend import NUM_MELS, FeatureMatrix, FeatureNormalizer
@@ -154,11 +154,15 @@ class AsrSystem:
         return system
 
     @classmethod
-    def from_checkpoint(cls, ckpt: ModelCheckpoint, seed: int = 0) -> "AsrSystem":
+    def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "AsrSystem":
         """Load a trained system for inference. The LoRA adapters are folded
         into the LM base once, here: the result is a rank-0 system, and its
         to_checkpoint() is the merged checkpoint."""
-        system = cls.from_encoder_checkpoint(from_dict(ckpt.config), ckpt, seed=seed)
+        try:
+            cfg = from_dict(ckpt.config)
+        except ConfigError as exc:
+            raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
+        system = cls.from_encoder_checkpoint(cfg, ckpt)
         system.load_tensors(ckpt.tensors)
         lm = system.lm
         for name, t in lm.merged_params().items():

@@ -98,22 +98,15 @@ def balanced_sampler(per_language_hours: dict[str, float], alpha: float,
 @dataclass
 class PreparedUtterance:
     entry: ManifestEntry
-    raw_frames: np.ndarray  # unnormalized log-mel (T, 80)
+    features: frontend.FeatureMatrix  # log-mel; the stage runner normalizes it
     duration: float
-
-    def features(self, normalizer) -> frontend.FeatureMatrix:
-        frames = self.raw_frames
-        if normalizer is not None:
-            frames = normalizer.apply(frames).astype(np.float32, copy=False)
-        return frontend.FeatureMatrix(frames=frames)
 
 
 def prepare_corpus(entries: list[ManifestEntry]) -> list[PreparedUtterance]:
     out = []
     for e in entries:
         wav = frontend.load_audio(e.audio_path)
-        feats = frontend.log_mel(wav)
-        out.append(PreparedUtterance(e, feats.frames, wav.duration))
+        out.append(PreparedUtterance(e, frontend.log_mel(wav), wav.duration))
     return out
 
 
@@ -248,9 +241,11 @@ def _mean_feasible(losses: Tensor) -> Tensor | None:
     return ops.embedding(losses, kept).sum() * (1.0 / len(kept))
 
 
-def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
+def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
                out_dir, state_path, resume: bool, stop_fn) -> TrainResult:
-    """Optimize make_spec(train_utts) with validation tracking and resume."""
+    """Optimize spec with validation tracking and resume. A system with no
+    feature statistics under frontend.normalize gets them fitted on the
+    training split."""
     tcfg = cfg.training
     utts = prepare_corpus(entries)
     train_idx, valid_idx = split_indices(len(utts), tcfg.valid_fraction, tcfg.seed)
@@ -258,13 +253,15 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
     valid_utts = [utts[i] for i in valid_idx] or train_utts
     hours = hours_by_language(train_utts)
     valid_chunks = _chunk_by_duration(valid_utts, tcfg.batch_seconds)
-    spec: StageSpec = make_spec(train_utts)
     system = spec.system
+    if cfg.frontend.normalize and system.normalizer is None:
+        system.normalizer = frontend.FeatureNormalizer.fit(
+            [u.features.frames for u in train_utts])
     for name, t in system.named_params().items():
         t.requires_grad = name in spec.params
 
     def batch_loss(batch: list[PreparedUtterance], rng=None):
-        return spec.batch_loss([u.features(system.normalizer) for u in batch],
+        return spec.batch_loss([u.features for u in batch],
                                [u.entry.text for u in batch], rng)
 
     names = sorted(spec.params)
@@ -298,6 +295,9 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, make_spec,
             adam.m[i][...] = saved.tensors["adam.m." + n]
             adam.v[i][...] = saved.tensors["adam.v." + n]
         best = saved.namespace("best.") or None
+    if system.normalizer is not None:  # final here; a resumed stage has the saved ones
+        for u in utts:
+            u.features.frames = system.normalizer.apply(u.features.frames)
 
     def save_state():
         state.adam_step = adam.step
@@ -372,28 +372,19 @@ def pretrain_encoder(entries: list[ManifestEntry], cfg: RunConfig,
                      out_dir=None, state_path=None, resume: bool = False,
                      stop_fn=None) -> TrainResult:
     """Stage 1: train encoder + CTC head; returns the best-validation model."""
-    def make_spec(train_utts):
-        tokenizer = CharTokenizer.from_texts([e.text for e in entries])
-        normalizer = None
-        if cfg.frontend.normalize:
-            normalizer = frontend.FeatureNormalizer.fit([u.raw_frames for u in train_utts])
-        system = AsrSystem(cfg, tokenizer, normalizer, seed=cfg.training.seed)
-        params = {k: v for k, v in system.named_params().items()
-                  if k.startswith("encoder.")}
-        return StageSpec("ctc_pretrain", cfg.training.pretrain, system, params,
-                         system.ctc_losses, ("encoder.", "frontend."))
-
-    return _run_stage(entries, cfg, make_spec, out_dir, state_path, resume, stop_fn)
+    tokenizer = CharTokenizer.from_texts([e.text for e in entries])
+    system = AsrSystem(cfg, tokenizer, seed=cfg.training.seed)
+    params = {k: v for k, v in system.named_params().items() if k.startswith("encoder.")}
+    spec = StageSpec("ctc_pretrain", cfg.training.pretrain, system, params,
+                     system.ctc_losses, ("encoder.", "frontend."))
+    return _run_stage(entries, cfg, spec, out_dir, state_path, resume, stop_fn)
 
 
 def train_joint(entries: list[ManifestEntry], cfg: RunConfig,
                 encoder_ckpt: ModelCheckpoint, out_dir=None, state_path=None,
                 resume: bool = False, stop_fn=None) -> TrainResult:
     """Stage 2: joint training of encoder + bridge + LoRA with text masking."""
-    def make_spec(train_utts):
-        system = AsrSystem.from_encoder_checkpoint(cfg, encoder_ckpt,
-                                                   seed=cfg.training.seed)
-        return StageSpec("joint", cfg.training.joint, system, system.joint_trainable(),
-                         system.joint_losses, ("",))  # "" keeps every tensor
-
-    return _run_stage(entries, cfg, make_spec, out_dir, state_path, resume, stop_fn)
+    system = AsrSystem.from_encoder_checkpoint(cfg, encoder_ckpt, seed=cfg.training.seed)
+    spec = StageSpec("joint", cfg.training.joint, system, system.joint_trainable(),
+                     system.joint_losses, ("",))  # "" keeps every tensor
+    return _run_stage(entries, cfg, spec, out_dir, state_path, resume, stop_fn)

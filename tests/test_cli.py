@@ -420,6 +420,10 @@ def _mel_stats_missing(ckpt):
     del ckpt.tensors["frontend.mel_mean"], ckpt.tensors["frontend.mel_std"]
 
 
+def _stored_config_invalid(ckpt):
+    ckpt.config["encoder"]["num_heads"] = 3  # does not divide d_model
+
+
 def _unknown_state_key(ckpt):
     ckpt.metadata["train_state"]["bogus"] = 1
 
@@ -432,10 +436,10 @@ def _missing_adam_tensor(ckpt):
 
 @pytest.mark.parametrize("damage", [_drop_tokenizer, _chars_not_a_list, _chars_not_strings,
                                     _mel_stats_79_wide, _mel_mean_nan, _mel_std_zero,
-                                    _mel_stats_missing],
+                                    _mel_stats_missing, _stored_config_invalid],
                          ids=["no_tokenizer", "chars_not_a_list", "chars_not_strings",
                               "mel_stats_79_wide", "mel_mean_nan", "mel_std_zero",
-                              "mel_stats_missing"])
+                              "mel_stats_missing", "stored_config_invalid"])
 def test_transcribe_with_damaged_metadata_exit_3(damage, trained, toy_corpus, tmp_path):
     out, _ = trained
     _, entries = toy_corpus

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fast_config
-from prefixasr import ctc, trainer
+from prefixasr import ctc, frontend, trainer
+from prefixasr.checkpoint import load_checkpoint, save_checkpoint
 from prefixasr.numcore import Tensor, ops, param
 from prefixasr.numcore.rng import generator
 from prefixasr.system import AsrSystem
@@ -201,6 +202,49 @@ def test_pretrain_is_deterministic(toy_corpus, pretrain_result):
     again = trainer.pretrain_encoder(entries, fast_config())
     for name, arr in result.checkpoint.tensors.items():
         np.testing.assert_array_equal(again.checkpoint.tensors[name], arr)
+
+
+def test_each_utterance_is_normalized_once(toy_corpus, monkeypatch):
+    _, entries = toy_corpus
+    calls = []
+    apply = frontend.FeatureNormalizer.apply
+
+    def counting_apply(self, frames):
+        calls.append(frames.shape)
+        return apply(self, frames)
+
+    monkeypatch.setattr(frontend.FeatureNormalizer, "apply", counting_apply)
+    result = trainer.pretrain_encoder(entries, fast_config(["training.pretrain.max_steps=3"]))
+    assert result.steps == 3
+    assert len(calls) == len(entries)
+
+
+def test_resumed_stage_normalizes_with_the_saved_statistics(toy_corpus, tmp_path,
+                                                            monkeypatch):
+    _, entries = toy_corpus
+    state = tmp_path / "state.ckpt"
+    trainer.pretrain_encoder(entries, fast_config(["training.pretrain.max_steps=2"]),
+                             state_path=state)
+    saved = load_checkpoint(state)
+    saved.tensors["frontend.mel_mean"] = saved.tensors["frontend.mel_mean"] + np.float32(0.5)
+    save_checkpoint(state, saved)
+    shifted = frontend.FeatureNormalizer(mean=saved.tensors["frontend.mel_mean"],
+                                         std=saved.tensors["frontend.mel_std"])
+    raw = {e.text: frontend.log_mel(frontend.load_audio(e.audio_path)).frames
+           for e in entries}
+    seen = []
+    ctc_losses = AsrSystem.ctc_losses
+
+    def recording_ctc_losses(self, features, texts, rng=None):
+        seen.extend(zip(texts, features))
+        return ctc_losses(self, features, texts, rng)
+
+    monkeypatch.setattr(AsrSystem, "ctc_losses", recording_ctc_losses)
+    resumed = trainer.pretrain_encoder(entries, fast_config(["training.pretrain.max_steps=3"]),
+                                       state_path=state, resume=True)
+    assert resumed.steps == 3 and seen  # one training step and one validation pass
+    for text, feats in seen:
+        np.testing.assert_array_equal(feats.frames, shifted.apply(raw[text]), err_msg=text)
 
 
 def test_joint_training_runs_and_logs(pretrain_result, tmp_path):
