@@ -22,6 +22,7 @@ NUM_MELS = 80
 MAX_SECONDS = 20.0
 MAX_SAMPLE_RATE = 192000  # the resampling filter has 20*rate+1 taps at worst
 LOG_FLOOR = 1e-10
+TILE_FRAMES = 128      # log_mel's working set is a few tiles, whatever the length
 
 
 class AudioError(ValueError):
@@ -83,8 +84,11 @@ def load_audio(path) -> Waveform:
                 raise AudioError(f"{path}: {nframes / rate:.2f}s exceeds the "
                                  f"{MAX_SECONDS:.0f}s cap")
             raw = wf.readframes(nframes)
-    except (wave.Error, EOFError, OSError) as exc:
-        raise AudioError(f"cannot read {path}: {exc}") from exc
+    except (wave.Error, EOFError, OSError, RuntimeError) as exc:
+        # wave raises a bare RuntimeError when a chunk that it has to skip
+        # runs past the RIFF size field
+        reason = str(exc) or "a chunk runs past the RIFF size field"
+        raise AudioError(f"cannot read {path}: {reason}") from exc
     if width != 2:
         raise AudioError(f"{path}: only PCM16 supported, got sample width {width}")
     if len(raw) % (width * channels):
@@ -150,12 +154,33 @@ class FeatureNormalizer:
 
     @staticmethod
     def fit(matrices: list[np.ndarray]) -> "FeatureNormalizer":
-        stacked = np.concatenate(matrices, axis=0)
-        mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0)
+        """Column mean and std of the matrices stacked along rows, bit for bit
+        the stack's float32 `mean(axis=0)` and `std(axis=0)`, without the
+        stack."""
+        mean = _column_mean(matrices)
+        std = np.sqrt(_column_mean(matrices, center=mean))
         # near-constant dims (empty mel filters) are left unscaled
         std[std < 1e-3] = 1.0
-        return FeatureNormalizer(mean=mean.astype(np.float32), std=std.astype(np.float32))
+        return FeatureNormalizer(mean=mean, std=std)
+
+
+def _column_mean(matrices: list[np.ndarray], center: np.ndarray | None = None) -> np.ndarray:
+    """Column mean of the matrices stacked along rows (with `center`, of
+    their squared deviations from it) in numpy's float32 arithmetic for the
+    stack, copying one matrix at a time. An axis-0 sum adds the rows in
+    order, so each matrix's sum starts from the running total as its first
+    row; the total is divided by the integer count, as numpy's mean does."""
+    total = np.zeros(matrices[0].shape[1], np.float32)
+    for m in matrices:
+        buf = np.empty((len(m) + 1, len(total)), np.float32)
+        buf[0] = total
+        if center is None:
+            buf[1:] = m
+        else:
+            np.subtract(m, center, out=buf[1:])
+            np.square(buf[1:], out=buf[1:])
+        total = np.add.reduce(buf, axis=0)
+    return (total / np.intp(sum(len(m) for m in matrices))).astype(np.float32)
 
 
 def log_mel(waveform: Waveform, normalizer: FeatureNormalizer | None = None) -> FeatureMatrix:
@@ -164,10 +189,25 @@ def log_mel(waveform: Waveform, normalizer: FeatureNormalizer | None = None) -> 
         raise AudioError(f"expected {SAMPLE_RATE} Hz, got {waveform.sample_rate}")
     if len(x) < WINDOW_SAMPLES:
         raise AudioError(f"audio shorter than one window ({len(x)} < {WINDOW_SAMPLES})")
-    windows = sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES] * _HANN
-    spectrum = np.abs(np.fft.rfft(windows, n=NUM_FFT, axis=1))
-    mel_energy = spectrum @ _FILTERBANK.T
-    feats = np.log(np.maximum(mel_energy, LOG_FLOOR)).astype(np.float32)
+    frames = sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    T = len(frames)
+    # Every tile has b rows, the last one overlapping the one before it: a
+    # BLAS product of a few rows can round differently from the same rows
+    # inside a taller one, so a short last tile would change the features.
+    b = min(TILE_FRAMES, T)
+    padded = np.zeros((b, NUM_FFT))  # columns past the window stay zero
+    spectrum = np.empty((b, NUM_FFT // 2 + 1), np.complex128)
+    magnitude = np.empty(spectrum.shape)
+    mel_energy = np.empty((b, NUM_MELS))
+    feats = np.empty((T, NUM_MELS), np.float32)
+    for i in range(0, T, b):
+        i = min(i, T - b)
+        np.multiply(frames[i:i + b], _HANN, out=padded[:, :WINDOW_SAMPLES])
+        np.fft.rfft(padded, axis=1, out=spectrum)
+        np.abs(spectrum, out=magnitude)
+        np.matmul(magnitude, _FILTERBANK.T, out=mel_energy)
+        np.maximum(mel_energy, LOG_FLOOR, out=mel_energy)
+        np.log(mel_energy, out=feats[i:i + b], casting="same_kind")
     if normalizer is not None:
         feats = normalizer.apply(feats)
     if not np.all(np.isfinite(feats)):

@@ -292,9 +292,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out, xhat, inv = layer_norm_array(x.data, gain.data, bias.data, eps)
 
     def backward(g):
+        d = xhat.shape[-1]
         dxhat = g * gain.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = inv * (dxhat - np.add.reduce(dxhat, -1, keepdims=True) / d
+                    - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True) / d))
         lead = tuple(range(x.data.ndim - 1))
         dgain = (g * xhat).sum(axis=lead)
         dbias = g.sum(axis=lead)

@@ -63,3 +63,23 @@ def write_truncated_wav(path, channels, cut):
         wf.setframerate(16000)
         wf.writeframes(np.zeros(4000 * channels, dtype="<i2").tobytes())
     path.write_bytes(path.read_bytes()[:-cut])
+
+
+def riff_wav(chunks, riff_size=None):
+    """RIFF/WAVE bytes from (chunk id, payload) pairs, each size field the
+    payload's length. `riff_size` overrides the RIFF size field."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(payload)) + payload
+                              + b"\0" * (len(payload) % 2) for cid, payload in chunks)
+    size = len(body) if riff_size is None else riff_size
+    return b"RIFF" + struct.pack("<I", size) + body
+
+
+# fmt and data chunks of 0.03 s of 16 kHz mono PCM16 silence
+PCM16_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+PCM16_DATA = np.zeros(480, "<i2").tobytes()
+
+
+# a 100-byte LIST chunk ahead of fmt with the RIFF size set to 60: the size
+# ends inside the LIST chunk, which wave has to skip
+LIST_PAST_RIFF_SIZE = riff_wav([(b"LIST", bytes(100)), (b"fmt ", PCM16_FMT),
+                                (b"data", PCM16_DATA)], riff_size=60)

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (FAST_OVERRIDES, fast_config, write_patched_rate_wav,
-                      write_truncated_wav)
+from conftest import (FAST_OVERRIDES, LIST_PAST_RIFF_SIZE, fast_config,
+                      write_patched_rate_wav, write_truncated_wav)
 from prefixasr import cli
 from prefixasr.checkpoint import file_digest, load_checkpoint, save_checkpoint
 from prefixasr.system import AsrSystem
@@ -150,6 +150,21 @@ def test_eval_skips_truncated_wav(trained, tmp_path, channels, cut):
     skipped = eval_skipped(trained, tmp_path, bad)
     assert [s["audio_path"] for s in skipped] == [str(bad)]
     assert "truncated data chunk" in skipped[0]["reason"]
+
+
+def test_transcribe_chunk_past_riff_size_exit_3(trained, tmp_path):
+    out, _ = trained
+    (tmp_path / "list.wav").write_bytes(LIST_PAST_RIFF_SIZE)
+    assert run("transcribe", "--ckpt", str(out / "model.ckpt"),
+               str(tmp_path / "list.wav")) == cli.EXIT_BAD_DATA
+
+
+def test_eval_skips_chunk_past_riff_size(trained, tmp_path):
+    bad = tmp_path / "list.wav"
+    bad.write_bytes(LIST_PAST_RIFF_SIZE)
+    skipped = eval_skipped(trained, tmp_path, bad)
+    assert [s["audio_path"] for s in skipped] == [str(bad)]
+    assert "RIFF size" in skipped[0]["reason"]
 
 
 def test_eval_writes_report_files(trained, tmp_path):

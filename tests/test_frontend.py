@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 import wave
 from unittest import mock
 
@@ -6,7 +8,8 @@ import pytest
 import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import write_patched_rate_wav
+from conftest import (LIST_PAST_RIFF_SIZE, PCM16_DATA, PCM16_FMT, riff_wav,
+                      write_patched_rate_wav)
 from prefixasr import frontend
 
 
@@ -63,6 +66,12 @@ class TestLoadAudio:
         with pytest.raises(frontend.AudioError):
             frontend.load_audio(p)
 
+    def test_chunk_past_riff_size_rejected(self, tmp_path):
+        p = tmp_path / "list.wav"
+        p.write_bytes(LIST_PAST_RIFF_SIZE)
+        with pytest.raises(frontend.AudioError, match="RIFF size"):
+            frontend.load_audio(p)
+
     def test_zero_sample_rate_rejected(self, tmp_path):
         p = tmp_path / "r0.wav"
         write_patched_rate_wav(p)
@@ -90,6 +99,49 @@ class TestLoadAudio:
         monkeypatch.setattr(frontend, "resample_poly", refuse)
         with pytest.raises(frontend.AudioError, match="cap"):
             frontend.load_audio(p)
+
+
+CHUNK_IDS = st.sampled_from([b"LIST", b"fmt ", b"data", b"junk"]) | st.binary(min_size=4, max_size=4)
+SIZE_FIELDS = st.integers(0, 2**32 - 1) | st.integers(0, 1100)
+
+
+@st.composite
+def damaged_wavs(draw):
+    """A valid 0.03 s WAV, then maybe: a chunk inserted, size fields
+    rewritten, header bytes changed, the end cut off."""
+    chunks = [(b"fmt ", PCM16_FMT), (b"data", PCM16_DATA)]
+    if draw(st.booleans()):
+        chunks.insert(draw(st.integers(0, 2)), (draw(CHUNK_IDS), draw(st.binary(max_size=120))))
+    blob = bytearray(riff_wav(chunks))
+    size_fields, at = [4], 12  # the RIFF size, then each chunk's
+    for _, payload in chunks:
+        size_fields.append(at + 4)
+        at += 8 + len(payload) + len(payload) % 2
+    for field in draw(st.lists(st.sampled_from(size_fields), max_size=2)):
+        struct.pack_into("<I", blob, field, draw(SIZE_FIELDS))
+    for pos, byte in draw(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)),
+                                   max_size=4)):
+        blob[pos] = byte
+    if draw(st.booleans()):
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def damaged_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged") / "a.wav"
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(blob=damaged_wavs())
+@example(blob=LIST_PAST_RIFF_SIZE)
+def test_damaged_wav_gives_features_or_audio_error(damaged_path, blob):
+    damaged_path.write_bytes(blob)
+    try:
+        feats = frontend.log_mel(frontend.load_audio(damaged_path))
+    except frontend.AudioError:
+        return
+    assert feats.frames.shape[1] == frontend.NUM_MELS
 
 
 OTHER_RATES = [8000, 11025, 22050, 44100, 48000, 16001]
@@ -179,18 +231,38 @@ class TestLogMel:
     @example(559)
     @example(561)
     @example(16000)
+    # the tile edges, n = 400 + 160 * (T - 1) for T = 1 (above), 127, 128,
+    # 129, 256 and 257
+    @example(20560)
+    @example(20720)
+    @example(20880)
+    @example(41200)
+    @example(41360)
     @settings(max_examples=40, deadline=None)
     def test_windows_and_features_match_gathered_frames(self, n):
-        """The strided frames equal the gathered (T, 400) index array."""
+        """The tiles' FFT inputs are the gathered (T, 400) index array's rows,
+        zero-padded to 512; a last tile overlaps the one before it."""
         x = (0.1 * np.random.default_rng(n).standard_normal(n)).astype(np.float32)
         T = 1 + (n - 400) // 160
         idx = np.arange(400)[None, :] + 160 * np.arange(T)[:, None]
         windows = x[idx] * np.hanning(400)
         spectrum = np.abs(np.fft.rfft(windows, n=512, axis=1))
         feats = np.log(np.maximum(spectrum @ frontend.mel_filterbank().T, 1e-10))
-        with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+        inputs, real_rfft = [], np.fft.rfft
+
+        def recording_rfft(a, *args, **kwargs):
+            inputs.append(a.copy())  # the tile buffer is reused
+            return real_rfft(a, *args, **kwargs)
+
+        with mock.patch.object(np.fft, "rfft", recording_rfft):
             got = frontend.log_mel(frontend.Waveform(x)).frames
-        assert np.array_equal(rfft.call_args.args[0], windows)
+        b = min(frontend.TILE_FRAMES, T)
+        rows = np.concatenate([np.arange(min(i, T - b), min(i, T - b) + b)
+                               for i in range(0, T, b)])
+        assert set(rows.tolist()) == set(range(T))
+        tiles = np.concatenate(inputs)
+        assert np.array_equal(tiles[:, :400], windows[rows])
+        assert not tiles[:, 400:].any()
         assert np.array_equal(got, feats.astype(np.float32))
 
     def test_normalizer_applied(self):
@@ -205,3 +277,53 @@ class TestLogMel:
         # degenerate dims stay unscaled near zero; live dims normalize to 1
         assert np.all((np.abs(s - 1.0) < 1e-2) | (s < 1e-2))
 
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 400), st.floats(-40, 40), st.floats(0.01, 20)),
+                min_size=1, max_size=40),
+       st.integers(0, 2**32 - 1), st.data())
+def test_fit_matches_stacked_statistics(shapes, seed, data):
+    """One matrix has a constant column, and column 0 is at the log floor
+    everywhere, as an empty mel filter's is."""
+    rng = np.random.default_rng(seed)
+    matrices = [(offset + scale * rng.standard_normal((rows, 80))).astype(np.float32)
+                for rows, offset, scale in shapes]
+    matrices[data.draw(st.integers(0, len(matrices) - 1))][:, 1 + seed % 79] = 3.0
+    for m in matrices:
+        m[:, 0] = np.log(frontend.LOG_FLOOR)
+    copies = [m.copy() for m in matrices]
+    stacked = np.concatenate(matrices)
+    std = stacked.std(axis=0)
+    std[std < 1e-3] = 1.0
+    norm = frontend.FeatureNormalizer.fit(matrices)
+    assert norm.mean.dtype == norm.std.dtype == np.float32
+    np.testing.assert_array_equal(norm.mean, stacked.mean(axis=0))
+    np.testing.assert_array_equal(norm.std, std)
+    assert all(np.array_equal(m, c) for m, c in zip(matrices, copies))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_log_mel_working_set_twenty_seconds():
+    """Tiles bound the working set: the result is 0.64 MB, the bound 4 MB."""
+    x = (0.1 * np.random.default_rng(0).standard_normal(20 * 16000)).astype(np.float32)
+    wav = frontend.Waveform(x)
+    frontend.log_mel(wav)  # the first call builds numpy's FFT plan cache
+    assert traced_peak(lambda: frontend.log_mel(wav)) < 4e6
+
+
+def test_fit_working_set_one_matrix():
+    """fit copies one matrix at a time, never the stack (14.1 MB here)."""
+    rng = np.random.default_rng(1)
+    matrices = [rng.standard_normal((int(n), 80)).astype(np.float32)
+                for n in rng.integers(100, 2000, 44)]
+    largest = max(m.nbytes for m in matrices)
+    assert traced_peak(lambda: frontend.FeatureNormalizer.fit(matrices)) < 2 * largest + 1e6

@@ -190,6 +190,25 @@ def test_layer_norm_forward_matches_mean_var_formula(dtype, shape):
     np.testing.assert_array_equal(out, expect)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 48), (3, 5, 64)])
+def test_layer_norm_backward_matches_mean_formula(dtype, shape):
+    rng = np.random.default_rng(14)
+    x = nc.Tensor((3.0 + 2.0 * rng.standard_normal(shape)).astype(dtype))
+    x.requires_grad = True
+    g = (1.0 + 0.1 * rng.standard_normal(shape[-1])).astype(dtype)
+    b = (0.1 * rng.standard_normal(shape[-1])).astype(dtype)
+    up = rng.standard_normal(shape).astype(dtype)
+    ops.layer_norm(x, nc.Tensor(g), nc.Tensor(b)).backward(up)
+    inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
+    dxhat = up * g
+    expect = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    assert x.grad.dtype == dtype
+    np.testing.assert_array_equal(x.grad, expect)
+
+
 @pytest.mark.parametrize("pad", [0, 1, 5])
 @pytest.mark.parametrize("shape", [(9, 4), (3, 9, 4)])
 def test_pad_time_equals_np_pad(pad, shape):
