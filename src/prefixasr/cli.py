@@ -13,9 +13,8 @@ import sys
 from pathlib import Path
 
 from . import evalsuite, frontend, trainer
-from .checkpoint import (CheckpointError, config_digest, file_digest,
-                         load_checkpoint, save_checkpoint)
-from .config import ConfigError, load_config
+from .checkpoint import CheckpointError, file_digest, load_checkpoint, save_checkpoint
+from .config import ConfigError, changed_sections, load_config
 from .declm import LORA_TARGETS
 from .system import AsrSystem
 
@@ -82,10 +81,9 @@ def cmd_pretrain(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     encoder_ckpt = _load_ckpt(args.ckpt)
-    if encoder_ckpt.digest != config_digest(cfg.to_dict()):
-        raise CheckpointError(
-            f"{args.ckpt}: config digest mismatch — the encoder checkpoint was "
-            "trained under a different configuration")
+    if changed := changed_sections(encoder_ckpt.config, cfg):
+        raise CheckpointError(f"{args.ckpt}: the encoder checkpoint was trained "
+                              f"under a different {', '.join(changed)} config")
     entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
     _log_model_summary(cfg)
@@ -108,11 +106,9 @@ def cmd_eval(args) -> int:
     ckpt = _load_ckpt(args.ckpt)
     system = AsrSystem.from_checkpoint(ckpt)
     if args.config is not None:
-        # against the config as trained: loading folded the adapters (rank 0)
-        cfg = _load_run_config(args)
-        if config_digest(cfg.to_dict()) != ckpt.digest:
-            raise CheckpointError(
-                f"{args.ckpt}: config digest mismatch with --config")
+        if changed := changed_sections(ckpt.config, _load_run_config(args)):
+            raise CheckpointError(f"{args.ckpt}: the checkpoint has a different "
+                                  f"{', '.join(changed)} config than --config")
     entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
     report = evalsuite.eval_corpus(system, entries)

@@ -16,8 +16,6 @@ from pathlib import Path
 
 import yaml
 
-from .numcore.optim import LrSchedule
-
 
 class ConfigError(ValueError):
     pass
@@ -117,11 +115,10 @@ class StageSection:
     max_steps: int = 2000
 
     def __post_init__(self):
-        self.schedule()  # rejects warmup_steps >= total_steps, bad lr order
-
-    def schedule(self) -> LrSchedule:
-        return LrSchedule(peak_lr=self.peak_lr, final_lr=self.final_lr,
-                          warmup_steps=self.warmup_steps, total_steps=self.total_steps)
+        if not self.warmup_steps < self.total_steps:
+            raise ConfigError("warmup_steps must be below total_steps")
+        if not self.peak_lr >= self.final_lr > 0:
+            raise ConfigError("need peak_lr >= final_lr > 0")
 
 
 @dataclass
@@ -169,6 +166,14 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def changed_sections(saved: dict, cfg: RunConfig, skip=()) -> list[str]:
+    """The top-level sections, outside `skip`, whose values in the config
+    dict `saved` differ from `cfg`'s; values compare by ==, so 16 == 16.0."""
+    current = cfg.to_dict()
+    return sorted(k for k in set(saved) | set(current)
+                  if k not in skip and saved.get(k) != current.get(k))
 
 
 def _check_scalar(value, hint, path: str):

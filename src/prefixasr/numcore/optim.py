@@ -51,28 +51,15 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray],
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
-@dataclass
-class LrSchedule:
-    peak_lr: float
-    final_lr: float
-    warmup_steps: int
-    total_steps: int
-
-    def __post_init__(self):
-        if not (self.warmup_steps < self.total_steps):
-            raise ValueError("warmup_steps must be below total_steps")
-        if not (self.peak_lr >= self.final_lr > 0):
-            raise ValueError("need peak_lr >= final_lr > 0")
-
-
-def schedule_lr(schedule: LrSchedule, step: int) -> float:
-    """Linear warmup to peak, then geometric decay hitting final_lr at total_steps."""
-    if step < schedule.warmup_steps:
-        return schedule.peak_lr * step / schedule.warmup_steps
-    if step >= schedule.total_steps:
-        return schedule.final_lr
-    frac = (step - schedule.warmup_steps) / (schedule.total_steps - schedule.warmup_steps)
-    return schedule.peak_lr * (schedule.final_lr / schedule.peak_lr) ** frac
+def schedule_lr(section, step: int) -> float:
+    """Linear warmup to peak, then geometric decay hitting final_lr at
+    total_steps. `section` is a config StageSection."""
+    if step < section.warmup_steps:
+        return section.peak_lr * step / section.warmup_steps
+    if step >= section.total_steps:
+        return section.final_lr
+    frac = (step - section.warmup_steps) / (section.total_steps - section.warmup_steps)
+    return section.peak_lr * (section.final_lr / section.peak_lr) ** frac
 
 
 def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:

@@ -110,7 +110,10 @@ class AsrSystem:
         """This system's config and tokenizer with `tensors` (by default
         all_tensors()) and any extra metadata."""
         meta = {"tokenizer": self.tokenizer.to_dict(), **(metadata or {})}
-        return ModelCheckpoint(config=self.cfg.to_dict(), metadata=meta,
+        config = self.cfg.to_dict()
+        if self.cfg.lm.num_layers and not self.lm.lora:  # its adapters were folded
+            config["lora"]["rank"] = 0
+        return ModelCheckpoint(config=config, metadata=meta,
                                tensors=self.all_tensors() if tensors is None else tensors)
 
     def load_tensors(self, tensors: dict[str, np.ndarray],
@@ -156,8 +159,9 @@ class AsrSystem:
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "AsrSystem":
         """Load a trained system for inference. The LoRA adapters are folded
-        into the LM base once, here: the result is a rank-0 system, and its
-        to_checkpoint() is the merged checkpoint."""
+        into the LM base once, here, and the LM keeps no adapters; cfg stays
+        the config the checkpoint was trained under, and to_checkpoint() is
+        the merged, lora.rank 0 checkpoint."""
         try:
             cfg = from_dict(ckpt.config)
         except ConfigError as exc:
@@ -167,6 +171,5 @@ class AsrSystem:
         lm = system.lm
         for name, t in lm.merged_params().items():
             lm.params[name].data = t.data
-        lm.lora, lm.lora_scale = {}, 0.0
-        system.cfg.lora.rank = 0
+        lm.lora = {}
         return system

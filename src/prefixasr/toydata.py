@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-SAMPLE_RATE = 16000
+from .frontend import SAMPLE_RATE
+
 TONE_SECONDS = 0.16
 GAP_SECONDS = 0.04
 SPACE_SECONDS = 0.12

@@ -28,7 +28,7 @@ import numpy as np
 from . import frontend
 from .checkpoint import (CheckpointError, ModelCheckpoint, check_tensors,
                          load_checkpoint, save_checkpoint)
-from .config import RunConfig, StageSection
+from .config import RunConfig, StageSection, changed_sections
 from .numcore import (AdamState, NonFiniteGradientError, Tensor, adam_step,
                       clip_grad_norm, no_grad, ops, schedule_lr)
 from .numcore.rng import generator
@@ -266,17 +266,13 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
 
     names = sorted(spec.params)
     params = [spec.params[n] for n in names]
-    schedule = spec.section.schedule()
     adam = AdamState()
     adam.ensure(params)
     state = _TrainState(spec.name)
     best: dict[str, np.ndarray] | None = None
     if resume and state_path is not None and Path(state_path).exists():
         saved = load_checkpoint(state_path)
-        run_config = cfg.to_dict()
-        changed = sorted(k for k in set(saved.config) | set(run_config)
-                         if k != "training" and saved.config.get(k) != run_config.get(k))
-        if changed:
+        if changed := changed_sections(saved.config, cfg, skip=("training",)):
             raise CheckpointError(f"{state_path}: the saved state has a different "
                                   f"{', '.join(changed)} config than this run")
         state = load_train_state(saved.metadata.get("train_state", {}), state_path)
@@ -313,7 +309,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
     max_steps = spec.section.max_steps
     while state.step < max_steps:
         state.step += 1
-        lr = schedule_lr(schedule, state.step)
+        lr = schedule_lr(spec.section, state.step)
         rng = generator(tcfg.seed, spec.name, "step", state.step)
         for p in params:
             p.grad = None

@@ -74,12 +74,21 @@ def test_pretrain_same_seed_identical_digest(toy_corpus, fast_cfg_file,
 
 
 def test_train_rejects_config_digest_mismatch(trained, fast_cfg_file,
-                                              toy_corpus, tmp_path):
+                                              toy_corpus, tmp_path, caplog):
     out, manifest = trained
     code = run("train", "--config", fast_cfg_file, "--set", "lora.rank=4",
                "--manifest", str(manifest), "--ckpt", str(out / "encoder.ckpt"),
                "--out-dir", str(tmp_path))
     assert code == cli.EXIT_BAD_DATA
+    assert "different lora config" in caplog.text
+
+
+def test_train_accepts_int_spelling_of_float(trained, fast_cfg_file, tmp_path):
+    """lora.alpha=16 is the encoder's default 16.0: configs compare by value."""
+    out, manifest = trained
+    assert run("train", "--config", fast_cfg_file, "--set", "lora.alpha=16",
+               "--manifest", str(manifest), "--ckpt", str(out / "encoder.ckpt"),
+               "--out-dir", str(tmp_path)) == cli.EXIT_OK
 
 
 def test_transcribe_prints_hypothesis(trained, toy_corpus, capsys):
@@ -193,10 +202,11 @@ def test_eval_twice_byte_identical(trained, tmp_path):
     ([], cli.EXIT_OK),
     (["--set", "lora.rank=4"], cli.EXIT_BAD_DATA),
     (["--set", "lora.alpha=8.0"], cli.EXIT_BAD_DATA),
-], ids=["training_config", "other_rank", "other_alpha"])
+    (["--set", "lora.alpha=16"], cli.EXIT_OK),
+], ids=["training_config", "other_rank", "other_alpha", "alpha_as_int"])
 def test_eval_config_digest_check(overrides, code, trained, fast_cfg_file, tmp_path):
-    """--config is checked against the LoRA checkpoint's stored config, not
-    the rank-0 system that loading folds the adapters into."""
+    """--config is compared by value with the config the checkpoint was
+    trained under, LoRA rank included, which the loaded system keeps."""
     out, manifest = trained
     assert run("eval", "--config", fast_cfg_file, *overrides, "--ckpt",
                str(out / "model.ckpt"), "--manifest", str(manifest),
@@ -224,6 +234,18 @@ def test_inspect_ckpt(trained, capsys):
     printed = capsys.readouterr().out
     assert "config digest:" in printed
     assert "total parameters:" in printed
+
+
+def test_eval_digest_is_the_checkpoints(trained, tmp_path, capsys):
+    """report.json names the config digest of the checkpoint it decoded."""
+    out, manifest = trained
+    assert run("inspect-ckpt", "--ckpt", str(out / "model.ckpt")) == 0
+    printed = capsys.readouterr().out.splitlines()
+    digest = next(l for l in printed if l.startswith("config digest:")).split()[-1]
+    assert run("eval", "--ckpt", str(out / "model.ckpt"), "--manifest",
+               str(manifest), "--out-dir", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["decode_config_digest"] == digest
 
 
 def test_inspect_ckpt_prints_train_state(trained, capsys):
@@ -283,6 +305,8 @@ def test_bad_config_override_exit_2(toy_corpus, tmp_path):
 @pytest.mark.parametrize("override", [
     "encoder.num_heads=5",
     "training.pretrain.warmup_steps=20000",
+    "training.pretrain.peak_lr=1e-6",
+    "training.joint.final_lr=0",
     "training.eval_interval=0",
     "encoder.d_model=abc",
     "lora.rank=-1",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prefixasr import numcore as nc
+from prefixasr.config import StageSection
 from prefixasr.numcore import ops
 
 
@@ -276,22 +277,22 @@ class TestAdam:
 
 class TestSchedule:
     def test_peak_reached_at_warmup_end(self):
-        s = nc.LrSchedule(peak_lr=1e-3, final_lr=1e-5, warmup_steps=20000, total_steps=100000)
+        s = StageSection(peak_lr=1e-3, final_lr=1e-5, warmup_steps=20000, total_steps=100000)
         assert nc.schedule_lr(s, 20000) == pytest.approx(1e-3)
 
     def test_linear_ramp_midpoint(self):
-        s = nc.LrSchedule(peak_lr=5e-4, final_lr=5e-6, warmup_steps=5000, total_steps=250000)
+        s = StageSection(peak_lr=5e-4, final_lr=5e-6, warmup_steps=5000, total_steps=250000)
         assert nc.schedule_lr(s, 2500) == pytest.approx(2.5e-4)
 
     def test_final_lr_at_total_steps(self):
-        s = nc.LrSchedule(peak_lr=5e-4, final_lr=5e-6, warmup_steps=5000, total_steps=250000)
+        s = StageSection(peak_lr=5e-4, final_lr=5e-6, warmup_steps=5000, total_steps=250000)
         assert nc.schedule_lr(s, 250000) == pytest.approx(5e-6)
         assert nc.schedule_lr(s, 400000) == pytest.approx(5e-6)
 
     @given(st.integers(0, 300000))
     @settings(max_examples=100, deadline=None)
     def test_continuous_and_nonincreasing_after_warmup(self, step):
-        s = nc.LrSchedule(peak_lr=5e-4, final_lr=5e-6, warmup_steps=5000, total_steps=250000)
+        s = StageSection(peak_lr=5e-4, final_lr=5e-6, warmup_steps=5000, total_steps=250000)
         lr = nc.schedule_lr(s, step)
         assert 0 <= lr <= s.peak_lr
         if step >= s.warmup_steps:
@@ -299,9 +300,9 @@ class TestSchedule:
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError):
-            nc.LrSchedule(peak_lr=1e-3, final_lr=1e-5, warmup_steps=10, total_steps=10)
+            StageSection(peak_lr=1e-3, final_lr=1e-5, warmup_steps=10, total_steps=10)
         with pytest.raises(ValueError):
-            nc.LrSchedule(peak_lr=1e-5, final_lr=1e-3, warmup_steps=10, total_steps=20)
+            StageSection(peak_lr=1e-5, final_lr=1e-3, warmup_steps=10, total_steps=20)
 
 
 def test_clip_grad_norm():

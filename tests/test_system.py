@@ -178,7 +178,7 @@ def test_merged_checkpoint_matches_adapter_forward():
     randomize_adapters(system, scale=0.02)
     f = feats()
     merged = AsrSystem.from_checkpoint(system.to_checkpoint())
-    assert merged.cfg.lora.rank == 0
+    assert merged.cfg.lora.rank == system.cfg.lora.rank
     assert not any(k.startswith("lora.") for k in merged.all_tensors())
     np.testing.assert_allclose(merged.joint_loss(f, "abc").item(),
                                system.joint_loss(f, "abc").item(), atol=1e-5)
@@ -200,7 +200,7 @@ def test_loaded_system_decodes_as_the_unfolded_one():
             audio = system.embed_audio(f)
             logits = system.lm.forward_mixed(
                 audio, [system.lm.config.bos_id] + ids).data
-    assert loaded.cfg.lora.rank == 0 and loaded.lm.lora == {}
+    assert loaded.cfg.lora.rank == system.cfg.lora.rank and loaded.lm.lora == {}
     assert not np.array_equal(loaded.lm.params["block0.wq"].data,
                               system.lm.params["block0.wq"].data)
     chosen = ids if len(ids) == max_len else ids + [system.lm.config.eos_id]
@@ -223,6 +223,21 @@ def test_loaded_system_saves_as_merged_checkpoint():
     assert saved.tensors.keys() == merged.keys()
     for name, arr in merged.items():
         np.testing.assert_array_equal(saved.tensors[name], arr)
+
+
+def test_loaded_system_keeps_its_trained_config():
+    ckpt = make_system().to_checkpoint()
+    assert ckpt.config["lora"]["rank"] > 0
+    assert AsrSystem.from_checkpoint(ckpt).cfg.to_dict() == ckpt.config
+
+
+def test_lm_without_layers_saves_its_lora_rank():
+    """An LM with no blocks holds no adapters to fold; its checkpoints keep
+    the configured rank, so a resume compares equal to the run's config."""
+    system = make_system(["lm.num_layers=0"])
+    assert system.to_checkpoint().config == system.cfg.to_dict()
+    loaded = AsrSystem.from_checkpoint(system.to_checkpoint())
+    assert loaded.to_checkpoint().config == system.cfg.to_dict()
 
 
 def test_transcribe_max_len_zero_decodes_nothing():
