@@ -65,31 +65,29 @@ def check_tensors(expected: dict[str, tuple], tensors: dict[str, np.ndarray],
 
 
 def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
-    """Write via a temp file in the same directory, then rename it onto path,
-    so an interrupted save leaves the previous file intact."""
+    """Stream the header and then each tensor into a temp file in the same
+    directory, then rename it onto path, so an interrupted save leaves the
+    previous file intact."""
     meta = {"config": ckpt.config, **ckpt.metadata}
     meta_blob = json.dumps(meta, sort_keys=True).encode()
-    out = bytearray()
-    out += struct.pack("<4sI", MAGIC, VERSION)
-    out += bytes.fromhex(ckpt.digest)
-    out += struct.pack("<I", len(meta_blob))
-    out += meta_blob
-    out += struct.pack("<I", len(ckpt.tensors))
-    for name in sorted(ckpt.tensors):
-        arr = np.asarray(ckpt.tensors[name], order="C")  # keeps 0-d shape
-        if arr.dtype == np.float64:
-            arr = arr.astype("<f8")
-        else:
-            arr = arr.astype("<f4")
-        nb = name.encode()
-        out += struct.pack("<H", len(nb)) + nb
-        out += struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += arr.tobytes()
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(bytes(out))
+        with open(tmp, "wb") as f:
+            f.write(struct.pack("<4sI", MAGIC, VERSION))
+            f.write(bytes.fromhex(ckpt.digest))
+            f.write(struct.pack("<I", len(meta_blob)))
+            f.write(meta_blob)
+            f.write(struct.pack("<I", len(ckpt.tensors)))
+            for name in sorted(ckpt.tensors):
+                arr = np.asarray(ckpt.tensors[name])
+                arr = np.asarray(arr, "<f8" if arr.dtype == np.float64 else "<f4",
+                                 order="C")  # keeps 0-d shape; copies only to convert
+                nb = name.encode()
+                f.write(struct.pack("<H", len(nb)) + nb)
+                f.write(struct.pack(f"<BB{arr.ndim}I", _DTYPE_CODES[arr.dtype], arr.ndim,
+                                    *arr.shape))
+                f.write(arr.data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

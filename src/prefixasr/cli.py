@@ -8,15 +8,29 @@ manifest), 3 bad data file (unreadable audio or checkpoint).
 from __future__ import annotations
 
 import argparse
+import json
 import logging
+import os
 import sys
 from pathlib import Path
 
-from . import evalsuite, frontend, trainer
-from .checkpoint import CheckpointError, file_digest, load_checkpoint, save_checkpoint
-from .config import ConfigError, changed_sections, load_config
-from .declm import LORA_TARGETS
-from .system import AsrSystem
+# A threaded BLAS product may split its sums differently from a one-thread
+# one, so a run's bits would depend on the host's CPU count. BLAS reads these
+# when numpy is first imported, just below: one thread unless the user set
+# any of them. BLAS_THREADS is the count it runs with, None for its default
+# (one per CPU): OpenBLAS or MKL reads its own variable, else OMP_NUM_THREADS.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+BLAS_THREADS = next((os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ), None)
+
+import numpy as np  # noqa: E402
+
+from . import evalsuite, frontend, trainer  # noqa: E402
+from .checkpoint import (CheckpointError, ModelCheckpoint, file_digest,  # noqa: E402
+                         load_checkpoint, save_checkpoint)
+from .config import ConfigError, changed_sections, load_config  # noqa: E402
+from .system import AsrSystem  # noqa: E402
 
 log = logging.getLogger("prefixasr")
 
@@ -52,16 +66,18 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _log_model_summary(cfg):
-    log.info("audio embedding rate: %.0f ms per embedding", evalsuite.embedding_ms(cfg))
-    d = cfg.lm.d_llm
-    lora_params = cfg.lora.rank * (d + d) * len(LORA_TARGETS) * cfg.lm.num_layers
-    log.info("trainable LM parameters (adapters): %d", lora_params)
+def _log_adapters(ckpt: ModelCheckpoint) -> None:
+    adapters = sum(t.size for t in ckpt.namespace("lora.").values())
+    log.info("trainable LM parameters (adapters): %d", adapters)
 
 
 def _finish_stage(result: trainer.TrainResult, ckpt_path: Path) -> int:
+    """Save the stage's checkpoint with the numpy version and BLAS thread
+    settings it ran under."""
     if result.diverged:
         log.warning("training diverged; keeping last good checkpoint")
+    result.checkpoint.metadata["runtime"] = {"numpy": np.__version__,
+                                             "blas_threads": BLAS_THREADS}
     save_checkpoint(ckpt_path, result.checkpoint)
     log.info("steps: %d  best validation loss: %.4f", result.steps, result.best_valid)
     log.info("wrote %s (digest %s)", ckpt_path, file_digest(ckpt_path)[:12])
@@ -86,9 +102,10 @@ def cmd_train(args) -> int:
                               f"under a different {', '.join(changed)} config")
     entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
-    _log_model_summary(cfg)
+    log.info("audio embedding rate: %.0f ms per embedding", evalsuite.embedding_ms(cfg))
     result = trainer.train_joint(entries, cfg, encoder_ckpt, out_dir=out,
                                  state_path=out / "train_state.ckpt", resume=args.resume)
+    _log_adapters(result.checkpoint)
     return _finish_stage(result, out / "model.ckpt")
 
 
@@ -147,6 +164,8 @@ def cmd_inspect_ckpt(args) -> int:
     print(f"file digest:   {file_digest(args.ckpt)}")
     if "stage" in ckpt.metadata:
         print(f"stage: {ckpt.metadata['stage']}")
+    if "runtime" in ckpt.metadata:  # numpy version and BLAS threads of the run
+        print(f"runtime: {json.dumps(ckpt.metadata['runtime'], sort_keys=True)}")
     if "train_state" in ckpt.metadata:
         state = trainer.load_train_state(ckpt.metadata["train_state"], args.ckpt)
         print("train_state:")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_DECODE_TOKENS, LmSection
+from .config import MAX_DECODE_TOKENS, LmSection, LoraSection
 from .frontend import AudioError
 from .layers import (causal_mask, dropout_keeps, init_bias, init_embedding,
                      init_ones, init_weight)
@@ -38,7 +38,7 @@ class DecoderLM:
     empty at rank 0. Each adapted projection adds lora_scale * x @ down @ up."""
 
     def __init__(self, config: LmConfig, seed: int = 0,
-                 lora_rank: int = 0, lora_alpha: float = 16.0):
+                 lora_rank: int = 0, lora_alpha: float = LoraSection.alpha):
         self.config = config
         self.params: dict[str, Tensor] = {}
         self.lora: dict[str, Tensor] = {}
@@ -89,12 +89,13 @@ class DecoderLM:
         pre = f"block{i}."
         h = ops.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
         q, k, v = (self._proj(h, pre + name) for name in ("wq", "wk", "wv"))
-        att = ops.attention(q, k, v, self.config.num_heads, mask, att_keep)
+        att = ops.attention(q, k, v, self.config.num_heads, mask, att_keep,
+                            self.config.dropout)
         x = x + self._proj(att, pre + "wo")
         h = ops.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
         h = ops.swish(ops.linear(h, p[pre + "ffn1.w"], p[pre + "ffn1.b"]))
         if ffn_keep is not None:
-            h = ops.mul_const(h, ffn_keep)
+            h = ops.dropout(h, ffn_keep, self.config.dropout)
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
@@ -106,7 +107,7 @@ class DecoderLM:
         never sees the padded keys after it. Dropout runs only with an rng."""
         cfg = self.config
         keeps = dropout_keeps(rng, cfg.dropout, cfg.num_layers, cfg.num_heads,
-                              cfg.ffn_dim, lengths, x.data.dtype)
+                              cfg.ffn_dim, lengths)
         for i, (att_keep, ffn_keep) in enumerate(keeps):
             x = self._block(i, x, mask, att_keep, ffn_keep)
         x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
@@ -239,7 +240,7 @@ def _standardise(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Layer norm without gain and bias: of rows (m, d) by the tape's
     arithmetic, of one row (d,) with its two statistics as Python floats."""
     if x.ndim == 2:
-        return ops.layer_norm_array(x, 1.0, 0.0, eps)[1]
+        return ops.standardise(x, eps)[0]
     xc = x - float(np.add.reduce(x)) / len(x)
     return xc * (1.0 / math.sqrt(float(xc @ xc) / len(x) + eps))
 

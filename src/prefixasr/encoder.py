@@ -110,7 +110,7 @@ class ConformerEncoder:
         q = ops.linear(h, p[pre + "wq"], p[pre + "wq.b"])
         k = ops.linear(h, p[pre + "wk"], p[pre + "wk.b"])
         v = ops.linear(h, p[pre + "wv"], p[pre + "wv.b"])
-        att = ops.attention(q, k, v, cfg.num_heads, keys, att_keep)
+        att = ops.attention(q, k, v, cfg.num_heads, keys, att_keep, cfg.dropout)
         x = x + ops.linear(att, p[pre + "wo"], p[pre + "wo.b"])
 
         h = ops.layer_norm(x, p[pre + "ln_conv.g"], p[pre + "ln_conv.b"])
@@ -126,7 +126,7 @@ class ConformerEncoder:
         h = ops.layer_norm(x, p[pre + "ln_ffn.g"], p[pre + "ln_ffn.b"])
         h = ops.swish(ops.linear(h, p[pre + "ffn1.w"], p[pre + "ffn1.b"]))
         if ffn_keep is not None:
-            h = ops.mul_const(h, ffn_keep)
+            h = ops.dropout(h, ffn_keep, cfg.dropout)
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
@@ -147,7 +147,7 @@ class ConformerEncoder:
         out_lengths = self.output_lengths(lengths)
         masks = padding_masks(out_lengths, x.shape[-2], dtype)
         keeps = dropout_keeps(rng, cfg.dropout, cfg.num_layers, cfg.num_heads,
-                              cfg.ffn_dim, out_lengths, dtype)
+                              cfg.ffn_dim, out_lengths)
         for i, (att_keep, ffn_keep) in enumerate(keeps):
             x = self.conformer_block(i, x, masks, att_keep, ffn_keep)
         return x

@@ -39,22 +39,23 @@ def init_embedding(rng: np.random.Generator, num: int, dim: int) -> Tensor:
 
 
 def dropout_keeps(rng: np.random.Generator | None, p: float, num_layers: int,
-                  num_heads: int, ffn_dim: int, lengths: Sequence[int],
-                  dtype) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
-    """Dropout keep masks for a right-padded batch whose items have `lengths`
-    positions, S = max(lengths): per block, (attention keep (B, h, S, S),
-    FFN keep (B, S, ffn_dim)). Drawn item by item, then block by block,
-    attention first; padding gets 0. All None when there is no rng (not
-    training) or p is 0; then nothing is drawn."""
+                  num_heads: int, ffn_dim: int, lengths: Sequence[int]
+                  ) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
+    """Boolean dropout keep masks, one byte per entry, for a right-padded
+    batch whose items have `lengths` positions, S = max(lengths): per block,
+    (attention keep (B, h, S, S), FFN keep (B, S, ffn_dim)). Drawn item by
+    item, then block by block, attention first; padding is not kept. All
+    None when there is no rng (not training) or p is 0; then nothing is
+    drawn."""
     if rng is None or p <= 0.0:
         return [(None, None)] * num_layers
     B, S = len(lengths), max(lengths)
-    att = np.zeros((num_layers, B, num_heads, S, S), dtype)
-    ffn = np.zeros((num_layers, B, S, ffn_dim), dtype)
+    att = np.zeros((num_layers, B, num_heads, S, S), bool)
+    ffn = np.zeros((num_layers, B, S, ffn_dim), bool)
     for b, n in enumerate(lengths):
         for i in range(num_layers):
-            att[i, b, :, :n, :n] = ops.dropout_mask((num_heads, n, n), p, rng, dtype)
-            ffn[i, b, :n] = ops.dropout_mask((n, ffn_dim), p, rng, dtype)
+            att[i, b, :, :n, :n] = ops.dropout_mask((num_heads, n, n), p, rng)
+            ffn[i, b, :n] = ops.dropout_mask((n, ffn_dim), p, rng)
     return list(zip(att, ffn))
 
 

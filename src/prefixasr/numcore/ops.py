@@ -201,8 +201,16 @@ def tanh(a: Tensor) -> Tensor:
     return make(out, (a,), backward)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in one new buffer."""
+    sig = np.negative(x)
+    np.exp(sig, out=sig)
+    np.add(1.0, sig, out=sig)
+    return np.divide(1.0, sig, out=sig)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    out = _sigmoid(a.data)
 
     def backward(g):
         return [(a, g * out * (1.0 - out))]
@@ -211,28 +219,42 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def swish(a: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = a.data * sig
+    """x * sigmoid(x); backward recomputes the sigmoid from x."""
+    out = _sigmoid(a.data)
+    np.multiply(a.data, out, out=out)
 
     def backward(g):
-        return [(a, g * (sig + a.data * sig * (1.0 - sig)))]
+        sig = _sigmoid(a.data)
+        # g * (sig + x * sig * (1 - sig))
+        ga = a.data * sig
+        ga *= 1.0 - sig
+        np.add(sig, ga, out=ga)
+        return [(a, np.multiply(g, ga, out=ga))]
 
     return make(out, (a,), backward)
 
 
 def glu(a: Tensor, axis: int = -1) -> Tensor:
-    """Halve `axis`; first half gated by sigmoid of the second."""
+    """Halve `axis`; first half gated by sigmoid of the second. Backward
+    recomputes the sigmoid from the gate half."""
     n = a.data.shape[axis]
     if n % 2 != 0:
         raise ShapeError(f"GLU axis size {n} not even")
     x, gate = np.split(a.data, 2, axis=axis)
-    sig = 1.0 / (1.0 + np.exp(-gate))
-    out = x * sig
+    out = _sigmoid(gate)
+    np.multiply(x, out, out=out)
 
     def backward(g):
-        gx = g * sig
-        ggate = g * x * sig * (1.0 - sig)
-        return [(a, np.concatenate([gx, ggate], axis=axis))]
+        sig = _sigmoid(gate)
+        ga = np.empty_like(a.data)
+        gx, ggate = np.split(ga, 2, axis=axis)
+        np.multiply(g, sig, out=gx)
+        # g * x * sig * (1 - sig)
+        np.multiply(g, x, out=ggate)
+        ggate *= sig
+        np.subtract(1.0, sig, out=sig)
+        ggate *= sig
+        return [(a, ga)]
 
     return make(out, (a,), backward)
 
@@ -273,33 +295,47 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return make(out, (a,), backward)
 
 
-def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                     eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layer norm over the last axis: the output, the standardised x and
-    1 / sqrt(var + eps)."""
+def standardise(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm without gain and bias over the last axis: xhat = (x - mu) *
+    inv, the mean mu and inv = 1 / sqrt(var + eps)."""
     # one pass over x for the mean and one for the variance; the same
     # arithmetic as x.mean/x.var, without var recomputing the mean
     d = x.shape[-1]
     mu = np.add.reduce(x, -1, keepdims=True) / d
-    xc = x - mu
-    var = np.add.reduce(xc * xc, -1, keepdims=True) / d
+    xhat = x - mu
+    var = np.add.reduce(xhat * xhat, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    xhat *= inv
+    return xhat, mu, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    out, xhat, inv = layer_norm_array(x.data, gain.data, bias.data, eps)
+    """Keeps the per-row mean and inv; backward rebuilds xhat from x."""
+    out, mu, inv = standardise(x.data, eps)
+    out *= gain.data
+    out += bias.data
 
     def backward(g):
+        xhat = x.data - mu
+        xhat *= inv
         d = xhat.shape[-1]
-        dxhat = g * gain.data
-        dx = inv * (dxhat - np.add.reduce(dxhat, -1, keepdims=True) / d
-                    - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True) / d))
-        lead = tuple(range(x.data.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        return [(x, dx), (gain, dgain), (bias, dbias)]
+        lead = tuple(range(xhat.ndim - 1))
+        dgain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
+        grads = []
+        if x.requires_grad:
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+            dxhat = g * gain.data
+            m1 = np.add.reduce(dxhat, -1, keepdims=True) / d
+            m2 = np.add.reduce(dxhat * xhat, -1, keepdims=True) / d
+            dxhat -= m1
+            xhat *= m2
+            dxhat -= xhat
+            grads.append((x, np.multiply(inv, dxhat, out=dxhat)))
+        if dgain is not None:
+            grads.append((gain, dgain))
+        if bias.requires_grad:
+            grads.append((bias, g.sum(axis=lead)))
+        return grads
 
     return make(out, (x, gain, bias), backward)
 
@@ -392,14 +428,37 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
     return make(out, (x, w, b), backward)
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Inverted-dropout keep mask: 0 with probability p, else 1/(1-p)."""
-    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Boolean dropout keep mask: False with probability p."""
+    return rng.random(shape) >= p
+
+
+def _keep_scale(p: float, dtype) -> np.floating:
+    """The inverted-dropout scale 1 / (1 - p) in dtype arithmetic. Applied
+    as (x * keep) * scale it gives the bits of x times a float mask of 0
+    and 1 / (1 - p)."""
+    dtype = np.dtype(dtype).type
+    return dtype(1) / dtype(1 - p)
+
+
+def dropout(x: Tensor, keep: np.ndarray, p: float) -> Tensor:
+    """Inverted dropout (x * keep) * 1/(1-p) for a boolean keep mask that
+    broadcasts to x, drawn at rate p by dropout_mask."""
+    s = _keep_scale(p, x.data.dtype)
+    out = x.data * keep
+    out *= s
+
+    def backward(g):
+        gx = g * keep
+        gx *= s
+        return [(x, gx)]
+
+    return make(out, (x,), backward)
 
 
 def mul_const(x: Tensor, c: np.ndarray) -> Tensor:
     """Multiply by a constant (non-differentiated) array that broadcasts to x,
-    e.g. a dropout mask or a 0/1 mask over padded rows."""
+    e.g. a 0/1 mask over padded rows."""
     out = x.data * c
 
     def backward(g):
@@ -476,17 +535,19 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
               mask: np.ndarray | None = None,
-              keep: np.ndarray | None = None) -> Tensor:
+              keep: np.ndarray | None = None, p: float = 0.0) -> Tensor:
     """Multi-head scaled dot-product attention as one tape node.
 
     q: (..., Tq, d), k/v: (..., Tk, d). mask is additive (-1e9 at banned
-    keys) and broadcasts to (..., h, Tq, Tk); keep is a dropout keep mask
-    over the attention weights. The forward splits heads, scales q k^T by
-    1/sqrt(d/h), adds the mask, takes a max-subtracted softmax, applies
-    keep, multiplies by v and merges heads: the arithmetic of the same
-    steps as separate ops. The backward is analytic from the saved softmax
-    weights (Dao et al. 2022) and returns gradients only for the inputs
-    that need one. Returns (..., Tq, d).
+    keys) and broadcasts to (..., h, Tq, Tk); keep is a boolean dropout keep
+    mask over the attention weights, drawn at rate p. The forward splits
+    heads, scales q k^T by 1/sqrt(d/h), adds the mask, takes a
+    max-subtracted softmax, applies dropout, multiplies by v and merges
+    heads: the arithmetic of the same steps as separate ops, done in place
+    on the score buffer. The tape keeps the softmax weights only; the
+    backward is analytic from them (Dao et al. 2022), rebuilds the dropped
+    weights when v needs a gradient, and returns gradients only for the
+    inputs that need one. Returns (..., Tq, d).
     """
     *lead, Tq, d = q.data.shape
     dh = d // num_heads
@@ -500,28 +561,39 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     def merge(a):
         return a.transpose(heads).reshape(*lead, a.shape[-2], d)
 
+    def dropped(weights):
+        if keep is None:
+            return weights
+        out = weights * keep
+        out *= s
+        return out
+
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=scores.dtype)
-    scores = scores * scale
+    weights = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=weights.dtype)
+    s = None if keep is None else _keep_scale(p, weights.dtype)
+    weights *= scale
     if mask is not None:
-        scores = scores + mask
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    weights = e / e.sum(axis=-1, keepdims=True)
-    kept = weights if keep is None else weights * keep
-    out = merge(np.matmul(kept, vh))
+        weights += mask
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = merge(np.matmul(dropped(weights), vh))
 
     def backward(g):
         go = split(g)
         grads = []
         if v.requires_grad:
-            grads.append((v, merge(np.matmul(kept.transpose(swap), go))))
+            grads.append((v, merge(np.matmul(dropped(weights).transpose(swap), go))))
         if q.requires_grad or k.requires_grad:
-            gw = np.matmul(go, vh.transpose(swap))
+            gs = np.matmul(go, vh.transpose(swap))
             if keep is not None:
-                gw = gw * keep
-            gs = (gw - (gw * weights).sum(axis=-1, keepdims=True)) * weights * scale
+                gs *= keep
+                gs *= s
+            # the softmax backward (gs - sum(gs * weights)) * weights, times scale
+            gs -= (gs * weights).sum(axis=-1, keepdims=True)
+            gs *= weights
+            gs *= scale
             if q.requires_grad:
                 grads.append((q, merge(np.matmul(gs, kh))))
             if k.requires_grad:

@@ -241,6 +241,15 @@ def _mean_feasible(losses: Tensor) -> Tensor | None:
     return ops.embedding(losses, kept).sum() * (1.0 / len(kept))
 
 
+def _clipped_grads(params: list[Tensor], max_norm: float) -> list[np.ndarray]:
+    """The gradient of each param (zeros where none arrived), clipped to
+    max_norm in place. The caller drops the list after the optimizer step,
+    so a gradient set never lives through the next step."""
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    clip_grad_norm(grads, max_norm)
+    return grads
+
+
 def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
                out_dir, state_path, resume: bool, stop_fn) -> TrainResult:
     """Optimize spec with validation tracking and resume. A system with no
@@ -295,6 +304,12 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
         for u in utts:
             u.features.frames = system.normalizer.apply(u.features.frames)
 
+    def snapshot() -> dict[str, np.ndarray]:
+        """The model tensors with the trained ones copied; the frozen ones
+        never change, so they are shared."""
+        return {k: v.copy() if k in spec.params else v
+                for k, v in spec.model_tensors().items()}
+
     def save_state():
         state.adam_step = adam.step
         tensors = spec.model_tensors()
@@ -325,11 +340,8 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
             break
         loss.backward()
         del loss  # free this step's graph before the next step builds its own
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for p in params]
-        clip_grad_norm(grads, tcfg.grad_clip)
         try:
-            adam_step(params, grads, adam, lr)
+            adam_step(params, _clipped_grads(params, tcfg.grad_clip), adam, lr)
         except NonFiniteGradientError:
             state.infeasible += 1
             continue
@@ -342,7 +354,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
                               "train_loss": loss_val, "valid_loss": valid})
             if valid < state.best_valid:
                 state.best_valid = valid
-                best = {k: v.copy() for k, v in spec.model_tensors().items()}
+                best = snapshot()
                 state.evals_since_best = 0
             else:
                 state.evals_since_best += 1
@@ -354,7 +366,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
                 break
     if best is None:
         state.best_valid = float("nan")
-        best = {k: v.copy() for k, v in spec.model_tensors().items()}
+        best = snapshot()
 
     _write_log(out_dir, state.log)
     return TrainResult(checkpoint=system.to_checkpoint({"stage": spec.name}, best),

@@ -1,4 +1,4 @@
-from pathlib import Path
+import io
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fast_config
+from prefixasr import checkpoint
 from prefixasr.checkpoint import (CheckpointError, ModelCheckpoint,
                                   config_digest, file_digest, load_checkpoint,
                                   save_checkpoint)
@@ -105,13 +106,19 @@ def test_failed_save_keeps_previous_file(tmp_path, ckpt, monkeypatch):
     save_checkpoint(path, ckpt)
     newer = ModelCheckpoint(config=ckpt.config, metadata=ckpt.metadata,
                             tensors={k: v + 1 for k, v in ckpt.tensors.items()})
-    write_bytes = Path.write_bytes
+    half = path.stat().st_size // 2
 
-    def dies_halfway(self, data):
-        write_bytes(self, data[:len(data) // 2])
-        raise OSError("disk full")
+    class DiesHalfway(io.FileIO):
+        """The disk fills up halfway through the streamed file."""
 
-    monkeypatch.setattr(Path, "write_bytes", dies_halfway)
+        def write(self, data):
+            data = bytes(data)
+            if self.tell() + len(data) > half:
+                super().write(data[:half - self.tell()])
+                raise OSError("disk full")
+            return super().write(data)
+
+    monkeypatch.setattr(checkpoint, "open", DiesHalfway, raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, newer)
     monkeypatch.undo()
@@ -189,3 +196,27 @@ def test_damaged_model_checkpoint_loads_or_raises_checkpoint_error(small_model, 
         AsrSystem.from_checkpoint(load_checkpoint(path))
     except CheckpointError:
         pass
+
+
+def test_streamed_file_matches_pinned_bytes(tmp_path):
+    """The file is streamed tensor by tensor; its bytes are pinned to the
+    digest of the writer that built the whole file in memory first. Covers
+    float32 and float64, a transposed view, big-endian and integer input, a
+    0-d and an empty tensor, and non-ASCII config text."""
+    rng = np.random.default_rng(0)
+    tensors = {
+        "encoder.w": rng.standard_normal((5, 7)).astype(np.float32),
+        "encoder.w_t": rng.standard_normal((4, 6)).astype(np.float32).T,
+        "lm.f64": rng.standard_normal(9),
+        "lm.scalar": np.float32(2.5) * np.ones((), np.float32),
+        "lm.big_endian": rng.standard_normal(3).astype(">f4"),
+        "lora.ints": np.arange(6).reshape(2, 3),
+        "frontend.empty": np.zeros((0, 80), np.float32),
+    }
+    ckpt = ModelCheckpoint(config={"lora": {"rank": 4, "alpha": 16.0}, "name": "ä"},
+                           tensors=tensors, metadata={"stage": "joint", "n": [1, 2.5]})
+    save_checkpoint(tmp_path / "x.ckpt", ckpt)
+    assert (tmp_path / "x.ckpt").stat().st_size == 634
+    assert file_digest(tmp_path / "x.ckpt") == (
+        "994caa49d3bec989987220f842b42d5e1ea3d2830ee704cf2197b7a9b1743912")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]

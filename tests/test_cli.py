@@ -579,3 +579,60 @@ def test_valid_fraction_near_one_keeps_training_data(toy_corpus, fast_cfg_file, 
               "--set", "training.pretrain.max_steps=2", "--set", "training.joint.max_steps=2"]
     assert run("pretrain", *common) == 0
     assert run("train", *common, "--ckpt", str(tmp_path / "encoder.ckpt")) == 0
+
+
+def _pretrain_subprocess(manifest, out, env):
+    """A three-step stage-1 run at the default model size through `python
+    -m prefixasr.cli`, under `env` for the BLAS thread variables."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    base = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    subprocess.run([sys.executable, "-m", "prefixasr.cli", "pretrain", "--manifest",
+                    str(manifest), "--out-dir", str(out),
+                    "--set", "training.pretrain.max_steps=3",
+                    "--set", "training.valid_fraction=0",
+                    "--set", "training.eval_interval=3"],
+                   env={**base, "PYTHONPATH": str(src), **env}, check=True,
+                   capture_output=True)
+    return out / "encoder.ckpt"
+
+
+def test_blas_threads_pinned_to_one_unless_set(toy_corpus, tmp_path):
+    """With no BLAS thread variable set the CLI runs BLAS on one thread, so
+    the checkpoint is the one a run at OPENBLAS_NUM_THREADS=1 writes, on a
+    host of any CPU count. The file records the count and numpy's version."""
+    manifest, _ = toy_corpus
+    unset = _pretrain_subprocess(manifest, tmp_path / "unset", {})
+    one = _pretrain_subprocess(manifest, tmp_path / "one", {"OPENBLAS_NUM_THREADS": "1"})
+    assert file_digest(unset) == file_digest(one)
+    assert load_checkpoint(one).metadata["runtime"] == {"numpy": np.__version__,
+                                                        "blas_threads": "1"}
+
+
+def test_blas_threads_the_user_set_are_kept():
+    src = Path(__file__).resolve().parents[1] / "src"
+    base = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import os, prefixasr.cli as c; "
+         "print(c.BLAS_THREADS, os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env={**base, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "2"},
+        check=True, capture_output=True, text=True)
+    assert probe.stdout.split() == ["2", "None"]
+
+
+def test_inspect_ckpt_prints_runtime(trained, capsys):
+    out, _ = trained
+    runtime = load_checkpoint(out / "model.ckpt").metadata["runtime"]
+    assert runtime == {"numpy": np.__version__, "blas_threads": cli.BLAS_THREADS}
+    assert run("inspect-ckpt", "--ckpt", str(out / "model.ckpt")) == 0
+    assert f"runtime: {json.dumps(runtime, sort_keys=True)}" in \
+        capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("rank", [0, 4, 8])
+def test_logged_adapter_count_is_what_the_lm_builds(rank, caplog):
+    system = AsrSystem(fast_config([f"lora.rank={rank}"]), CharTokenizer.from_texts(["ab"]))
+    with caplog.at_level("INFO", logger="prefixasr"):
+        cli._log_adapters(system.to_checkpoint())
+    logged = int(caplog.records[-1].getMessage().rsplit(" ", 1)[1])
+    assert logged == sum(t.size for t in system.lm.lora_parameters().values())
+    assert (logged > 0) == (rank > 0)

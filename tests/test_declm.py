@@ -231,23 +231,24 @@ class TestDropoutKeeps:
         """Per item, then per block, attention before FFN; 0 in padding."""
         lengths, h, f = [3, 5, 1], 2, 4
         rng = generator(0, "keep")
-        keeps = dropout_keeps(rng, 0.3, 2, h, f, lengths, np.float64)
+        keeps = dropout_keeps(rng, 0.3, 2, h, f, lengths)
         ref = generator(0, "keep")
         for b, n in enumerate(lengths):
             for att, ffn in keeps:
                 assert att.shape == (3, h, 5, 5) and ffn.shape == (3, 5, f)
+                assert att.dtype == ffn.dtype == np.bool_
                 np.testing.assert_array_equal(
-                    att[b, :, :n, :n], ops.dropout_mask((h, n, n), 0.3, ref, np.float64))
+                    att[b, :, :n, :n], ops.dropout_mask((h, n, n), 0.3, ref))
                 np.testing.assert_array_equal(
-                    ffn[b, :n], ops.dropout_mask((n, f), 0.3, ref, np.float64))
+                    ffn[b, :n], ops.dropout_mask((n, f), 0.3, ref))
                 assert not att[b, :, n:].any() and not att[b, :, :, n:].any()
                 assert not ffn[b, n:].any()
         assert rng.random() == ref.random()
 
     def test_no_rng_or_zero_rate_draws_nothing(self):
-        assert dropout_keeps(None, 0.3, 2, 2, 4, [3], np.float32) == [(None, None)] * 2
+        assert dropout_keeps(None, 0.3, 2, 2, 4, [3]) == [(None, None)] * 2
         rng = generator(0, "keep")
-        assert dropout_keeps(rng, 0.0, 2, 2, 4, [3], np.float32) == [(None, None)] * 2
+        assert dropout_keeps(rng, 0.0, 2, 2, 4, [3]) == [(None, None)] * 2
         assert rng.random() == generator(0, "keep").random()
 
 

@@ -131,11 +131,11 @@ class TestBatched:
         lengths = [5, 2, 4]
         with nc.use_dtype(np.float64):
             q, k, v = (nc.param(rng.standard_normal((3, 5, 4))) for _ in range(3))
-            keep = ops.dropout_mask((3, 2, 5, 5), 0.3, rng, np.float64)
+            keep = ops.dropout_mask((3, 2, 5, 5), 0.3, rng)
             wts = nc.as_tensor(rng.standard_normal((3, 5, 4)))
             report = nc.grad_check(
                 lambda: (ops.attention(q, k, v, 2, padding_masks(lengths, 5, np.float64)[1],
-                                       keep) * wts).sum(),
+                                       keep, 0.3) * wts).sum(),
                 {"q": q, "k": k, "v": v})
             assert report.max_rel_error < 1e-5, report.per_param
 

@@ -397,7 +397,7 @@ class TestBackwardSharedGradients:
                     np.testing.assert_array_equal(got, expected)
 
 
-def _composed_attention(q, k, v, num_heads, mask=None, keep=None):
+def _composed_attention(q, k, v, num_heads, mask=None, keep=None, p=0.0):
     """Reference: the attention ops.attention fuses, built from separate
     tape ops (split heads, q k^T, scale, add_mask, softmax, keep, @ v,
     merge heads)."""
@@ -414,7 +414,7 @@ def _composed_attention(q, k, v, num_heads, mask=None, keep=None):
         scores = ops.add_mask(scores, mask)
     weights = ops.softmax(scores, axis=-1)
     if keep is not None:
-        weights = ops.mul_const(weights, keep)
+        weights = ops.dropout(weights, keep, p)
     return (weights @ vh).transpose(*heads).reshape(*lead, Tq, d)
 
 
@@ -439,11 +439,11 @@ class TestFusedAttention:
             qkv = {name: (nc.as_tensor if name == frozen else nc.param)(rand(rng, *lead, T, d))
                    for name in "qkv"}
             mask = _causal_padded_mask(rng, lead, T)
-            keep = ops.dropout_mask((*lead, h, T, T), 0.3, rng, np.float64)
+            keep = ops.dropout_mask((*lead, h, T, T), 0.3, rng)
             wts = nc.as_tensor(rand(rng, *lead, T, d))
             trained = {name: t for name, t in qkv.items() if name != frozen}
             report = nc.grad_check(
-                lambda: (ops.attention(qkv["q"], qkv["k"], qkv["v"], h, mask, keep)
+                lambda: (ops.attention(qkv["q"], qkv["k"], qkv["v"], h, mask, keep, 0.3)
                          * wts).sum(), trained)
             assert report.max_rel_error < 1e-5, report.per_param
             if frozen is not None:
@@ -456,11 +456,11 @@ class TestFusedAttention:
         with nc.use_dtype(np.float64):
             q = nc.param(rand(rng, 3, 4, 6))
             k, v = nc.param(rand(rng, 3, 7, 6)), nc.param(rand(rng, 3, 7, 6))
-            keep = ops.dropout_mask((3, 3, 4, 7), 0.2, rng, np.float64)
+            keep = ops.dropout_mask((3, 3, 4, 7), 0.2, rng)
             wts = nc.as_tensor(rand(rng, 3, 4, 6))
             report = nc.grad_check(
                 lambda: (ops.attention(q, k, v, 3, padding_masks([7, 2, 5], 7, np.float64)[1],
-                                       keep) * wts).sum(), {"q": q, "k": k, "v": v})
+                                       keep, 0.2) * wts).sum(), {"q": q, "k": k, "v": v})
             assert report.max_rel_error < 1e-5, report.per_param
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["2d", "3d", "4d"])
@@ -468,13 +468,13 @@ class TestFusedAttention:
         rng = np.random.default_rng(32)
         T, d, h = 9, 16, 4
         mask = _causal_padded_mask(rng, lead, T).astype(np.float32)
-        keep = ops.dropout_mask((*lead, h, T, T), 0.1, rng, np.float32)
+        keep = ops.dropout_mask((*lead, h, T, T), 0.1, rng)
         g = rand(rng, *lead, T, d).astype(np.float32)
         results = []
         for build in (ops.attention, _composed_attention):
             gen = np.random.default_rng(33)
             q, k, v = (nc.param(rand(gen, *lead, T, d).astype(np.float32)) for _ in range(3))
-            out = build(q, k, v, h, mask, keep)
+            out = build(q, k, v, h, mask, keep, 0.1)
             out.backward(g)
             assert out.data.dtype == np.float32
             results.append([out.data, q.grad, k.grad, v.grad])
@@ -537,3 +537,172 @@ class TestMake:
             assert type(y.data) is np.ndarray and y.shape == ()
             assert isinstance(y.item(), float)
         assert (x.sum() * 2.0).item() == 30.0
+
+
+# -- the lean tape: the same bits as the ops that kept every intermediate ----
+# The reference formulas below are the ops as they were when the tape kept
+# the sigmoid, xhat and the dropped attention weights, and dropout masks were
+# float arrays holding 0 or 1/(1-p).
+
+def _ref_dropout_mask(shape, p, rng, dtype):
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
+def _ref_swish(x, g):
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, g * (sig + x * sig * (1.0 - sig))
+
+
+def _ref_glu(a, g):
+    x, gate = np.split(a, 2, axis=-1)
+    sig = 1.0 / (1.0 + np.exp(-gate))
+    return x * sig, np.concatenate([g * sig, g * x * sig * (1.0 - sig)], axis=-1)
+
+
+def _ref_layer_norm(x, gain, bias, g, eps=1e-5):
+    d = x.shape[-1]
+    mu = np.add.reduce(x, -1, keepdims=True) / d
+    xc = x - mu
+    var = np.add.reduce(xc * xc, -1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - np.add.reduce(dxhat, -1, keepdims=True) / d
+                - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True) / d))
+    lead = tuple(range(x.ndim - 1))
+    return xhat * gain + bias, dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def _ref_attention(q, k, v, num_heads, mask, keep, g):
+    *lead, Tq, d = q.shape
+    dh = d // num_heads
+    n = len(lead)
+    heads = (*range(n), n + 1, n, n + 2)
+    swap = (*range(n + 1), n + 2, n + 1)
+
+    def split(a):
+        return a.reshape(*a.shape[:-1], num_heads, dh).transpose(heads)
+
+    def merge(a):
+        return a.transpose(heads).reshape(*lead, a.shape[-2], d)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=scores.dtype)
+    scores = scores * scale
+    if mask is not None:
+        scores = scores + mask
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    kept = weights if keep is None else weights * keep
+    out = merge(np.matmul(kept, vh))
+    go = split(g)
+    gv = merge(np.matmul(kept.transpose(swap), go))
+    gw = np.matmul(go, vh.transpose(swap))
+    if keep is not None:
+        gw = gw * keep
+    gs = (gw - (gw * weights).sum(axis=-1, keepdims=True)) * weights * scale
+    gq = merge(np.matmul(gs, kh))
+    gk = merge(np.matmul(qh.transpose(swap), gs).transpose(swap))
+    return out, gq, gk, gv
+
+
+def _assert_same_bits(got, expected):
+    """Bitwise equality, so that -0.0 differs from 0.0."""
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    uint = {4: np.uint32, 8: np.uint64}[got.dtype.itemsize]
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(uint),
+                                  np.ascontiguousarray(expected).view(uint))
+
+
+def _op_grads(out, g, *inputs):
+    """The gradients out's tape node hands to `inputs` for the upstream g,
+    before the leaves add them to a zero grad (which would turn -0.0 into
+    0.0); None for an input it gives none."""
+    grads = {id(t): pg for t, pg in out._backward(g)}
+    return [grads.get(id(t)) for t in inputs]
+
+
+def _signed(rng, dtype, *shape):
+    """Negative and positive values, with some exact zeros of each sign."""
+    x = 3.0 * rng.standard_normal(shape)
+    x.flat[::7] = 0.0
+    x.flat[3::11] = -0.0
+    return x.astype(dtype)
+
+
+# float32's 1/(1-p) differs from float64's rounded to float32 at this rate
+P_DROP = 0.15
+
+
+def _leaf(data):
+    """A trained leaf that keeps data's dtype."""
+    t = nc.Tensor(data)
+    t.requires_grad = True
+    return t
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestLeanTapeBits:
+    """The ops that keep less for backward give the reference's bits, forward
+    and backward, and draw the same random numbers."""
+
+    def test_swish_and_glu(self, dtype):
+        rng = np.random.default_rng(40)
+        for op, ref in ((ops.swish, _ref_swish), (ops.glu, _ref_glu)):
+            x = _leaf(_signed(rng, dtype, 3, 5, 8))
+            out = op(x)
+            g = _signed(rng, dtype, *out.shape)
+            expect_out, expect_gx = ref(x.data, g)
+            _assert_same_bits(out.data, expect_out)
+            _assert_same_bits(*_op_grads(out, g, x), expect_gx)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_layer_norm(self, dtype, frozen):
+        rng = np.random.default_rng(41)
+        x = _leaf(_signed(rng, dtype, 4, 6, 16))
+        gain, bias = (nc.Tensor(_signed(rng, dtype, 16)) for _ in range(2))
+        gain.requires_grad = bias.requires_grad = not frozen
+        out = ops.layer_norm(x, gain, bias)
+        g = _signed(rng, dtype, *out.shape)
+        expected = _ref_layer_norm(x.data, gain.data, bias.data, g)
+        _assert_same_bits(out.data, expected[0])
+        got = _op_grads(out, g, x, gain, bias)
+        _assert_same_bits(got[0], expected[1])
+        if frozen:
+            assert got[1:] == [None, None]
+        else:
+            _assert_same_bits(got[1], expected[2])
+            _assert_same_bits(got[2], expected[3])
+
+    def test_masked_ffn(self, dtype):
+        rng = np.random.default_rng(42)
+        x = _leaf(_signed(rng, dtype, 3, 7, 12))
+        draw, ref_draw = np.random.default_rng(5), np.random.default_rng(5)
+        keep = ops.dropout_mask((3, 7, 12), P_DROP, draw)
+        keepf = _ref_dropout_mask((3, 7, 12), P_DROP, ref_draw, dtype)
+        assert keep.dtype == np.bool_ and draw.random() == ref_draw.random()
+        out = ops.dropout(x, keep, P_DROP)
+        g = _signed(rng, dtype, *out.shape)
+        _assert_same_bits(out.data, x.data * keepf)
+        _assert_same_bits(*_op_grads(out, g, x), g * keepf)
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["2d", "3d", "4d"])
+    def test_attention(self, dtype, dropout, lead):
+        rng = np.random.default_rng(43)
+        T, d, h, p = 9, 12, 4, P_DROP  # dh = 3: the scale 1/sqrt(3) is inexact
+        mask = _causal_padded_mask(rng, lead, T).astype(dtype)
+        q, k, v = (_leaf(_signed(rng, dtype, *lead, T, d)) for _ in range(3))
+        keep = keepf = None
+        if dropout:
+            draw, ref_draw = np.random.default_rng(6), np.random.default_rng(6)
+            keep = ops.dropout_mask((*lead, h, T, T), p, draw)
+            keepf = _ref_dropout_mask((*lead, h, T, T), p, ref_draw, dtype)
+            assert draw.random() == ref_draw.random()
+        out = ops.attention(q, k, v, h, mask, keep, p)
+        g = _signed(rng, dtype, *out.shape)
+        expected = _ref_attention(q.data, k.data, v.data, h, mask, keepf, g)
+        for got, want in zip((out.data, *_op_grads(out, g, q, k, v)), expected):
+            _assert_same_bits(got, want)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import fast_config
 from prefixasr.checkpoint import CheckpointError
+from prefixasr.config import load_config
 from prefixasr.frontend import FeatureMatrix, FeatureNormalizer
 from prefixasr.numcore import no_grad, ops, use_dtype
 from prefixasr.numcore.rng import generator
@@ -41,9 +44,9 @@ def test_joint_loss_dropout_draw_order(monkeypatch):
     shapes = []
     dropout_mask = ops.dropout_mask
 
-    def recording(shape, p, rng, dtype):
+    def recording(shape, p, rng):
         shapes.append(tuple(shape))
-        return dropout_mask(shape, p, rng, dtype)
+        return dropout_mask(shape, p, rng)
 
     monkeypatch.setattr(ops, "dropout_mask", recording)
     rng = generator(0, "test", "step", 1)
@@ -54,6 +57,36 @@ def test_joint_loss_dropout_draw_order(monkeypatch):
     for shape in shapes:
         fresh.random(shape)
     assert rng.random() == fresh.random()
+
+
+def test_joint_step_working_set():
+    """The traced peak of one joint step's loss plus backward at the default
+    model size, dropout on, over a 15 s and a 12 s utterance: 17.1 MB with
+    a tape that keeps what each backward reads and one-byte dropout masks,
+    25.7 MB when the tape also kept each attention's dropped weights, each
+    swish's sigmoid and each layer norm's xhat, and masks were float32."""
+    texts = ["the quick brown fox jumps over the lazy dog and runs far away",
+             "a b c d e f g h i j k l m n o p q r s t u v w x y z abc def ghi"]
+    system = AsrSystem(load_config(), CharTokenizer.from_texts(texts), seed=1)
+    trained = system.joint_trainable()
+    for name, t in system.named_params().items():
+        t.requires_grad = name in trained
+    batch = [feats(1500, seed=1), feats(1200, seed=2)]
+
+    def step():
+        losses = system.joint_losses(batch, texts, generator(1, "joint", "step", 1))
+        losses.sum().backward()
+        for t in trained.values():
+            t.grad = None
+
+    step()  # the first call fills numpy's and the tokenizer's caches
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21e6
 
 
 class RecordingRng:

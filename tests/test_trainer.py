@@ -300,6 +300,35 @@ def test_joint_step_gives_frozen_tensors_no_grad(pretrain_result, monkeypatch):
     assert [name for name, t in system.joint_trainable().items() if t.grad is None] == []
 
 
+def test_best_copy_shares_the_frozen_tensors(pretrain_result, monkeypatch):
+    """The best-validation copy holds copies of the trained tensors and the
+    live arrays of the frozen ones: the LM base, the CTC head and the
+    feature statistics."""
+    systems = []
+    joint_loss = AsrSystem.joint_loss
+
+    def recording_joint_loss(self, *args, **kwargs):
+        systems.append(self)
+        return joint_loss(self, *args, **kwargs)
+
+    monkeypatch.setattr(AsrSystem, "joint_loss", recording_joint_loss)
+    result, entries = pretrain_result
+    joint = trainer.train_joint(entries, fast_config(["training.joint.max_steps=10"]),
+                                result.checkpoint)
+    assert math.isfinite(joint.best_valid)  # best was taken at the step-10 evaluation
+    system = systems[0]
+    trained = system.joint_trainable()
+    live = system.all_tensors()
+    best = joint.checkpoint.tensors
+    assert set(best) == set(live)
+    frozen = sorted(k for k in live if k not in trained)
+    assert frozen and all(k.startswith(("lm.", "encoder.ctc.", "frontend.")) for k in frozen)
+    assert [k for k in frozen if best[k] is not live[k]] == []
+    assert [k for k in trained if np.shares_memory(best[k], live[k])] == []
+    for k in trained:
+        np.testing.assert_array_equal(best[k], live[k], err_msg=k)
+
+
 def test_joint_early_stops_on_plateau(pretrain_result):
     result, entries = pretrain_result
     cfg = fast_config(["training.early_stop_evals=1",
