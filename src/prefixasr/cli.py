@@ -2,7 +2,8 @@
 inspect-ckpt.
 
 Exit codes: 0 success, 1 internal error, 2 bad input (arguments, config,
-manifest), 3 bad data file (unreadable audio or checkpoint).
+manifest), 3 bad data file (unreadable audio or checkpoint). A stdout its
+reader closed early (`| head`) is 0: files are written before any printing.
 """
 
 from __future__ import annotations
@@ -241,7 +242,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the exit-time flush would raise again: drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (InputError, ConfigError, trainer.ManifestError) as exc:
         log.error("%s", exc)
         return EXIT_BAD_INPUT

@@ -196,7 +196,7 @@ class DecoderLM:
             q, k, v = np.moveaxis((_standardise(x) @ qkv + qkv_b).reshape(end, 3, h, dh), 0, 2)
             kt[:, :, :end] = k.transpose(0, 2, 1)
             vs[:, :end] = v
-            att = _softmax(q @ kt[:, :, :end] + mask) @ vs[:, :end]
+            att = ops.softmax_in_place(q @ kt[:, :, :end] + mask) @ vs[:, :end]
             x = x + (att.transpose(1, 0, 2).reshape(end, d) @ wo + wo_b)
             a = _standardise(x) @ f1 + f1_b
             x = x + ((a / (1 + np.exp(-a))) @ f2 + f2_b)
@@ -214,7 +214,7 @@ class DecoderLM:
                 q, k, v = (_standardise(x) @ qkv + qkv_b).reshape(3, h, dh)
                 kt[:, :, end - 1] = k
                 vs[:, end - 1] = v
-                att = _softmax(q[:, None] @ kt[:, :, :end]) @ vs[:, :end]
+                att = ops.softmax_in_place(q[:, None] @ kt[:, :, :end]) @ vs[:, :end]
                 x = x + (att.reshape(d) @ wo + wo_b)
                 a = _standardise(x) @ f1 + f1_b
                 x = x + ((a / (1 + np.exp(-a))) @ f2 + f2_b)
@@ -243,11 +243,3 @@ def _standardise(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         return ops.standardise(x, eps)[0]
     xc = x - float(np.add.reduce(x)) / len(x)
     return xc * (1.0 / math.sqrt(float(xc @ xc) / len(x) + eps))
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    """The max-subtracted softmax over the last axis, in place."""
-    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-    return scores

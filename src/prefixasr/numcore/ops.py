@@ -309,6 +309,14 @@ def standardise(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarra
     return xhat, mu, inv
 
 
+def softmax_in_place(scores: np.ndarray) -> np.ndarray:
+    """The max-subtracted softmax over the last axis, in place."""
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Keeps the per-row mean and inv; backward rebuilds xhat from x."""
     out, mu, inv = standardise(x.data, eps)
@@ -575,9 +583,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     weights *= scale
     if mask is not None:
         weights += mask
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    softmax_in_place(weights)
     out = merge(np.matmul(dropped(weights), vh))
 
     def backward(g):

@@ -289,26 +289,19 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
             raise CheckpointError(f"{state_path}: the state is for stage "
                                   f"{state.stage!r}, not {spec.name!r}")
         model = {k: v.shape for k, v in spec.model_tensors().items()}
+        best = saved.namespace("best.") or None  # absent until an evaluation improves
+        groups = ("adam.m.", "adam.v.", "best.") if best else ("adam.m.", "adam.v.")
         expected = dict(model)
-        expected.update({f"adam.{m}.{n}": spec.params[n].shape for m in "mv" for n in names})
-        if any(k.startswith("best.") for k in saved.tensors):
-            expected.update({"best." + k: shape for k, shape in model.items()})
+        expected.update({g + n: spec.params[n].shape for g in groups for n in names})
         check_tensors(expected, saved.tensors, state_path)
         system.load_tensors({k: saved.tensors[k] for k in model}, spec.keep)
         adam.step = state.adam_step
         for i, n in enumerate(names):
             adam.m[i][...] = saved.tensors["adam.m." + n]
             adam.v[i][...] = saved.tensors["adam.v." + n]
-        best = saved.namespace("best.") or None
     if system.normalizer is not None:  # final here; a resumed stage has the saved ones
         for u in utts:
             u.features.frames = system.normalizer.apply(u.features.frames)
-
-    def snapshot() -> dict[str, np.ndarray]:
-        """The model tensors with the trained ones copied; the frozen ones
-        never change, so they are shared."""
-        return {k: v.copy() if k in spec.params else v
-                for k, v in spec.model_tensors().items()}
 
     def save_state():
         state.adam_step = adam.step
@@ -354,7 +347,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
                               "train_loss": loss_val, "valid_loss": valid})
             if valid < state.best_valid:
                 state.best_valid = valid
-                best = snapshot()
+                best = {n: p.data.copy() for n, p in zip(names, params)}
                 state.evals_since_best = 0
             else:
                 state.evals_since_best += 1
@@ -366,10 +359,11 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
                 break
     if best is None:
         state.best_valid = float("nan")
-        best = snapshot()
+        best = {n: p.data.copy() for n, p in zip(names, params)}
 
     _write_log(out_dir, state.log)
-    return TrainResult(checkpoint=system.to_checkpoint({"stage": spec.name}, best),
+    best_model = {**spec.model_tensors(), **best}  # shares the frozen tensors, which never change
+    return TrainResult(checkpoint=system.to_checkpoint({"stage": spec.name}, best_model),
                        log=state.log, best_valid=state.best_valid, steps=state.step,
                        infeasible_skipped=state.infeasible,
                        stopped_early=state.evals_since_best >= tcfg.early_stop_evals,

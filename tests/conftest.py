@@ -1,6 +1,10 @@
 import struct
 import wave
 
+# Importing the CLI before numpy applies its BLAS rule (one thread unless a
+# thread variable is set), so in-process tests get the bits and timing of the
+# CLI and the bench on a host of any CPU count.
+import prefixasr.cli  # noqa: F401
 import numpy as np
 import pytest
 

@@ -259,6 +259,55 @@ def test_inspect_ckpt_prints_train_state(trained, capsys):
     assert state["stage"] == "ctc_pretrain" and state["step"] > 0
 
 
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_inspect_ckpt_into_a_closed_pipe_exits_0(unbuffered, trained):
+    """A reader that stops early (`| head -1`) is not an internal error. The
+    read end is closed before the child starts, so its first write fails:
+    a print when stdout is unbuffered, else the flush of the buffered
+    printout."""
+    out, _ = trained
+    src = Path(__file__).resolve().parents[1] / "src"
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "prefixasr.cli", "inspect-ckpt",
+                               "--ckpt", str(out / "encoder.ckpt")],
+                              env={**base, "PYTHONPATH": str(src), **unbuffered},
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_joint_state_file_holds_best_copies_of_the_trained_tensors_only(trained):
+    """The joint state file holds the model tensors, and the Adam moments and
+    best-validation copies of the trained tensors; the frozen LM base and CTC
+    head are stored once."""
+    out, _ = trained
+    system = AsrSystem.from_encoder_checkpoint(fast_config(),
+                                               load_checkpoint(out / "encoder.ckpt"))
+    state = load_checkpoint(out / "train_state.ckpt").tensors
+    assert set(state) == set(system.all_tensors()) | {
+        group + n for group in ("adam.m.", "adam.v.", "best.") for n in system.joint_trainable()}
+    assert [k for k in state if k.startswith(("best.lm.", "best.encoder.ctc."))] == []
+
+
+def test_resume_over_state_with_a_frozen_best_copy_exit_3(trained, fast_cfg_file,
+                                                          tmp_path, caplog):
+    out, manifest = trained
+    ckpt = load_checkpoint(out / "train_state.ckpt")
+    frozen = min(k for k in ckpt.tensors if k.startswith("lm."))
+    ckpt.tensors["best." + frozen] = ckpt.tensors[frozen]
+    save_checkpoint(tmp_path / "train_state.ckpt", ckpt)
+    assert run("train", "--config", fast_cfg_file, "--manifest", str(manifest),
+               "--ckpt", str(out / "encoder.ckpt"), "--out-dir", str(tmp_path),
+               "--resume") == cli.EXIT_BAD_DATA
+    assert "best." + frozen in caplog.text
+
+
 def test_inspect_ckpt_damaged_train_state_exit_3(trained, tmp_path):
     out, _ = trained
     ckpt = load_checkpoint(out / "pretrain_state.ckpt")
