@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -218,12 +219,22 @@ def from_dict(data: dict) -> RunConfig:
     return _build(RunConfig, data or {}, "")
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML 1.1 loading that also reads a float without a dot, such as
+    1e-3, as YAML 1.2 does."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
 def load_config(path=None, overrides=None) -> RunConfig:
     """Read YAML config and apply dotted `key=value` overrides (highest wins)."""
     data = {}
     if path is not None:
         try:
-            data = yaml.safe_load(Path(path).read_text()) or {}
+            data = yaml.load(Path(path).read_text(), _Loader) or {}
         except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides or []:
@@ -237,7 +248,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
             if not isinstance(node, dict):
                 raise ConfigError(f"override path {key!r} crosses a scalar")
         try:
-            node[parts[-1]] = yaml.safe_load(value)
+            node[parts[-1]] = yaml.load(value, _Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r}: bad YAML value: {exc}") from exc
     return from_dict(data)

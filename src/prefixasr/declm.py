@@ -236,10 +236,10 @@ def _fold(w: dict, norm: str, weight: np.ndarray, bias: np.ndarray) -> tuple:
     return w[norm + ".g"][:, None] * weight, w[norm + ".b"] @ weight + bias
 
 
-def _standardise(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def _standardise(x: np.ndarray) -> np.ndarray:
     """Layer norm without gain and bias: of rows (m, d) by the tape's
     arithmetic, of one row (d,) with its two statistics as Python floats."""
     if x.ndim == 2:
-        return ops.standardise(x, eps)[0]
+        return ops.standardise(x)[0]
     xc = x - float(np.add.reduce(x)) / len(x)
-    return xc * (1.0 / math.sqrt(float(xc @ xc) / len(x) + eps))
+    return xc * (1.0 / math.sqrt(float(xc @ xc) / len(x) + ops.LN_EPS))

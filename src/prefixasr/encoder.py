@@ -72,7 +72,7 @@ class ConformerEncoder:
         """Frames after the subsampler: ceil(T / subsample_stride) per item."""
         return [-(-t // self.config.subsample_stride) for t in lengths]
 
-    def subsample(self, features: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    def subsample(self, features: Tensor, lengths: Sequence[int]) -> Tensor:
         """(..., T, 80) -> (..., ceil(T/stride), d_model) with positions added.
 
         lengths, one per item of a zero-padded batch, are the real frame
@@ -81,7 +81,7 @@ class ConformerEncoder:
         p = self.params
         x = features
         for i in range(self.num_sub):
-            if i > 0 and lengths is not None:
+            if i > 0:
                 lengths = [-(-t // 2) for t in lengths]
                 masks = padding_masks(lengths, x.shape[-2], x.data.dtype)
                 if masks is not None:

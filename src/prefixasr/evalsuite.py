@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -58,31 +59,23 @@ def wer(reference: str, hypothesis: str, normalize: bool = True) -> WerResult:
     hyp = hypothesis.split()
     if not ref:
         raise EmptyReferenceError("reference transcript has no words")
-    n, m = len(ref), len(hyp)
-    # cost[i][j] plus a backpointer to recover the S/D/I split of the optimum
-    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
-    cost[:, 0] = np.arange(n + 1)
-    cost[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            match = 0 if ref[i - 1] == hyp[j - 1] else 1
-            cost[i, j] = min(cost[i - 1, j - 1] + match,
-                             cost[i - 1, j] + 1,   # deletion
-                             cost[i, j - 1] + 1)   # insertion
-    subs = dels = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
-            subs += ref[i - 1] != hyp[j - 1]
-            i, j = i - 1, j - 1
-        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
+    # prev[j] is (cost, S, D, I) of the best alignment of the ref words so
+    # far with hyp[:j]; min keeps the first of equal costs, so a tie goes to
+    # substitution or match, then deletion, then insertion
+    prev = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
+    for i, r in enumerate(ref, 1):
+        row = [(i, 0, i, 0)]
+        for h, diag, up in zip(hyp, prev, prev[1:]):
+            e = r != h
+            left = row[-1]
+            row.append(min((diag[0] + e, diag[1] + e, diag[2], diag[3]),
+                           (up[0] + 1, up[1], up[2] + 1, up[3]),
+                           (left[0] + 1, left[1], left[2], left[3] + 1),
+                           key=itemgetter(0)))
+        prev = row
+    _, subs, dels, ins = prev[-1]
     return WerResult(substitutions=subs, deletions=dels, insertions=ins,
-                     num_ref_words=n)
+                     num_ref_words=len(ref))
 
 
 @dataclass

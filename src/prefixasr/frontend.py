@@ -31,12 +31,11 @@ class AudioError(ValueError):
 
 @dataclass
 class Waveform:
-    samples: np.ndarray  # float32 in [-1, 1], mono
-    sample_rate: int = SAMPLE_RATE
+    samples: np.ndarray  # float32 in [-1, 1], mono, at SAMPLE_RATE
 
     @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
 
 def resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
@@ -102,7 +101,7 @@ def load_audio(path) -> Waveform:
     duration = len(pcm) / SAMPLE_RATE
     if duration > MAX_SECONDS:
         raise AudioError(f"{path}: {duration:.2f}s exceeds the {MAX_SECONDS:.0f}s cap")
-    return Waveform(samples=pcm.astype(np.float32, copy=False), sample_rate=SAMPLE_RATE)
+    return Waveform(samples=pcm.astype(np.float32, copy=False))
 
 
 def _hz_to_mel(f):
@@ -185,8 +184,6 @@ def _column_mean(matrices: list[np.ndarray], center: np.ndarray | None = None) -
 
 def log_mel(waveform: Waveform, normalizer: FeatureNormalizer | None = None) -> FeatureMatrix:
     x = waveform.samples
-    if waveform.sample_rate != SAMPLE_RATE:
-        raise AudioError(f"expected {SAMPLE_RATE} Hz, got {waveform.sample_rate}")
     if len(x) < WINDOW_SAMPLES:
         raise AudioError(f"audio shorter than one window ({len(x)} < {WINDOW_SAMPLES})")
     frames = sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]

@@ -11,6 +11,8 @@ import numpy as np
 
 from .tensor import Tensor, ShapeError, as_tensor, make
 
+LN_EPS = 1e-5  # every layer norm's, on the tape and in the decode's folded norms
+
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum g down to `shape` after numpy broadcasting."""
@@ -295,16 +297,16 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return make(out, (a,), backward)
 
 
-def standardise(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def standardise(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm without gain and bias over the last axis: xhat = (x - mu) *
-    inv, the mean mu and inv = 1 / sqrt(var + eps)."""
+    inv, the mean mu and inv = 1 / sqrt(var + LN_EPS)."""
     # one pass over x for the mean and one for the variance; the same
     # arithmetic as x.mean/x.var, without var recomputing the mean
     d = x.shape[-1]
     mu = np.add.reduce(x, -1, keepdims=True) / d
     xhat = x - mu
     var = np.add.reduce(xhat * xhat, -1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     return xhat, mu, inv
 
@@ -317,9 +319,9 @@ def softmax_in_place(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Keeps the per-row mean and inv; backward rebuilds xhat from x."""
-    out, mu, inv = standardise(x.data, eps)
+    out, mu, inv = standardise(x.data)
     out *= gain.data
     out += bias.data
 

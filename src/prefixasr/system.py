@@ -75,24 +75,18 @@ class AsrSystem:
 
     def joint_losses(self, features: list[FeatureMatrix], texts: list[str],
                      rng=None) -> Tensor:
-        """Stage-2 loss: the (B,) next-token losses, one graph per utterance.
-        With an rng (training) each utterance draws in turn its token mask,
-        its encoder dropout masks and its LM dropout masks."""
-        losses = []
-        for f, text in zip(features, texts):
-            inputs = None
-            if rng is not None:
-                inputs = mask_tokens(self.tokenizer.encode(text),
-                                     self.cfg.training.mask_fraction, rng)
-            losses.append(self.joint_loss(f, text, inputs, rng).reshape(1))
-        return ops.concat(losses)
+        """Stage-2 loss: the (B,) next-token losses, one graph per utterance."""
+        return ops.concat([self.joint_loss(f, text, rng).reshape(1)
+                           for f, text in zip(features, texts)])
 
-    def joint_loss(self, features: FeatureMatrix, text: str,
-                   input_text_ids=None, rng=None) -> Tensor:
+    def joint_loss(self, features: FeatureMatrix, text: str, rng=None) -> Tensor:
+        """One utterance's next-token loss. With an rng (training) it draws in
+        turn its token mask, its encoder dropout masks and its LM dropout
+        masks."""
+        ids = self.tokenizer.encode(text)
+        inputs = ids if rng is None else mask_tokens(ids, self.cfg.training.mask_fraction, rng)
         audio = self.embed_audio(features, rng)
-        target_ids = self.tokenizer.encode(text)
-        return self.lm.loss_mixed(audio, target_ids, rng=rng,
-                                  input_tokens=input_text_ids)
+        return self.lm.loss_mixed(audio, ids, rng=rng, input_tokens=inputs)
 
     def transcribe(self, features: FeatureMatrix,
                    max_len: int | None = None) -> str:

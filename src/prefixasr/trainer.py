@@ -251,7 +251,7 @@ def _clipped_grads(params: list[Tensor], max_norm: float) -> list[np.ndarray]:
 
 
 def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
-               out_dir, state_path, resume: bool, stop_fn) -> TrainResult:
+               out_dir, state_path, resume: bool) -> TrainResult:
     """Optimize spec with validation tracking and resume. A system with no
     feature statistics under frontend.normalize gets them fitted on the
     training split."""
@@ -353,8 +353,6 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
                 state.evals_since_best += 1
             if state_path is not None:
                 save_state()
-            if stop_fn is not None and stop_fn():
-                break
             if state.evals_since_best >= tcfg.early_stop_evals:
                 break
     if best is None:
@@ -371,22 +369,21 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
 
 
 def pretrain_encoder(entries: list[ManifestEntry], cfg: RunConfig,
-                     out_dir=None, state_path=None, resume: bool = False,
-                     stop_fn=None) -> TrainResult:
+                     out_dir=None, state_path=None, resume: bool = False) -> TrainResult:
     """Stage 1: train encoder + CTC head; returns the best-validation model."""
     tokenizer = CharTokenizer.from_texts([e.text for e in entries])
     system = AsrSystem(cfg, tokenizer, seed=cfg.training.seed)
     params = {k: v for k, v in system.named_params().items() if k.startswith("encoder.")}
     spec = StageSpec("ctc_pretrain", cfg.training.pretrain, system, params,
                      system.ctc_losses, ("encoder.", "frontend."))
-    return _run_stage(entries, cfg, spec, out_dir, state_path, resume, stop_fn)
+    return _run_stage(entries, cfg, spec, out_dir, state_path, resume)
 
 
 def train_joint(entries: list[ManifestEntry], cfg: RunConfig,
                 encoder_ckpt: ModelCheckpoint, out_dir=None, state_path=None,
-                resume: bool = False, stop_fn=None) -> TrainResult:
+                resume: bool = False) -> TrainResult:
     """Stage 2: joint training of encoder + bridge + LoRA with text masking."""
     system = AsrSystem.from_encoder_checkpoint(cfg, encoder_ckpt, seed=cfg.training.seed)
     spec = StageSpec("joint", cfg.training.joint, system, system.joint_trainable(),
                      system.joint_losses, ("",))  # "" keeps every tensor
-    return _run_stage(entries, cfg, spec, out_dir, state_path, resume, stop_fn)
+    return _run_stage(entries, cfg, spec, out_dir, state_path, resume)

@@ -72,6 +72,26 @@ def test_yaml_file_and_overrides(tmp_path):
     assert cfg.lora.rank == 0
 
 
+def test_yaml_file_reads_floats_without_a_dot(tmp_path):
+    """YAML 1.2's 1e-3 form; YAML 1.1, as PyYAML reads it, makes it a string."""
+    path = tmp_path / "run.yaml"
+    path.write_text("training: {pretrain: {peak_lr: 1e-3}, joint: {final_lr: 1E-5}}\n")
+    cfg = load_config(path)
+    assert cfg.training.pretrain.peak_lr == 1e-3
+    assert cfg.training.joint.final_lr == 1e-5
+
+
+def test_override_reads_floats_without_a_dot():
+    cfg = load_config(overrides=["training.pretrain.peak_lr=1e-3",
+                                 "training.batch_seconds=3e1"])
+    assert cfg.training.pretrain.peak_lr == 1e-3
+    assert cfg.training.batch_seconds == 30.0
+    with pytest.raises(ConfigError, match="expected int, got 1000.0"):
+        load_config(overrides=["training.seed=1e3"])
+    with pytest.raises(ConfigError, match="expected float, got inf"):
+        load_config(overrides=["training.batch_seconds=1e999"])
+
+
 def test_override_types_parsed_as_yaml():
     cfg = load_config(overrides=["frontend.normalize=false",
                                  "training.batch_seconds=12.5"])

@@ -27,6 +27,32 @@ def brute_force_distance(ref, hyp):
     return prev[-1]
 
 
+def backtrace_counts(ref, hyp):
+    """(S, D, I) by a full cost table and a backtrace from its corner that
+    prefers substitution or match, then deletion, then insertion."""
+    n, m = len(ref), len(hyp)
+    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
+    cost[:, 0] = np.arange(n + 1)
+    cost[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            cost[i, j] = min(cost[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]),
+                             cost[i - 1, j] + 1, cost[i, j - 1] + 1)
+    subs = dels = ins = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+            subs += ref[i - 1] != hyp[j - 1]
+            i, j = i - 1, j - 1
+        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return subs, dels, ins
+
+
 # -- normalization -----------------------------------------------------------
 
 def test_normalize_lowercases_and_strips_punctuation():
@@ -85,6 +111,21 @@ def test_wer_matches_quadratic_oracle(ref, hyp):
     r = wer(" ".join(ref), " ".join(hyp), normalize=False)
     assert r.distance == brute_force_distance(ref, hyp)
     assert r.num_ref_words == len(ref)
+
+
+def _word_pair(symbols):
+    w = st.lists(st.sampled_from([f"w{i}" for i in range(symbols)]), max_size=12)
+    return st.tuples(w.filter(bool), w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.integers(2, 12).flatmap(_word_pair))
+def test_wer_split_matches_backtrace(pair):
+    """Few symbols make ties common; the one-pass split must pick the same
+    optimum as the backtrace."""
+    ref, hyp = pair
+    r = wer(" ".join(ref), " ".join(hyp), normalize=False)
+    assert (r.substitutions, r.deletions, r.insertions) == backtrace_counts(ref, hyp)
 
 
 @settings(max_examples=100)

@@ -7,10 +7,10 @@ from conftest import fast_config
 from prefixasr.checkpoint import CheckpointError
 from prefixasr.config import load_config
 from prefixasr.frontend import FeatureMatrix, FeatureNormalizer
-from prefixasr.numcore import no_grad, ops, use_dtype
+from prefixasr.numcore import no_grad, use_dtype
 from prefixasr.numcore.rng import generator
 from prefixasr.system import AsrSystem
-from prefixasr.tokenizer import CharTokenizer, mask_tokens
+from prefixasr.tokenizer import CharTokenizer
 
 
 def make_system(extra=(), seed=0):
@@ -35,27 +35,31 @@ def test_joint_loss_finite_and_backprops():
         assert p.grad is not None, name
 
 
-def test_joint_loss_dropout_draw_order(monkeypatch):
-    """Stage 2 draws per utterance: each encoder block's attention then FFN
-    mask over its U frames, then each LM block's over the S mixed positions.
-    Pins the order that a batched joint stage must reproduce."""
+class RecordingRng:
+    """A generator that logs the size of every random() draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_joint_loss_dropout_draw_order():
+    """Stage 2 draws per utterance: the token mask over its text, then each
+    encoder block's attention then FFN mask over its U frames, then each LM
+    block's over the S mixed positions. Pins the order that a batched joint
+    stage must reproduce."""
     system = make_system(["encoder.dropout=0.1", "lm.dropout=0.1",
                           "encoder.num_layers=2", "lm.num_layers=2"])
-    shapes = []
-    dropout_mask = ops.dropout_mask
-
-    def recording(shape, p, rng):
-        shapes.append(tuple(shape))
-        return dropout_mask(shape, p, rng)
-
-    monkeypatch.setattr(ops, "dropout_mask", recording)
-    rng = generator(0, "test", "step", 1)
-    system.joint_loss(feats(70), "abc", rng=rng)
+    rng = RecordingRng(generator(0, "test", "step", 1))
+    system.joint_loss(feats(70), "abc", rng)
     # U = ceil(70/8) = 9 frames; S = ceil(9/3) audio + bos + 3 chars = 7
-    assert shapes == [(2, 9, 9), (9, 64)] * 2 + [(2, 7, 7), (7, 128)] * 2
+    assert rng.sizes == [3] + [(2, 9, 9), (9, 64)] * 2 + [(2, 7, 7), (7, 128)] * 2
     fresh = generator(0, "test", "step", 1)
-    for shape in shapes:
-        fresh.random(shape)
+    for size in rng.sizes:
+        fresh.random(size)
     assert rng.random() == fresh.random()
 
 
@@ -89,17 +93,6 @@ def test_joint_step_working_set():
     assert peak < 21e6
 
 
-class RecordingRng:
-    """A generator that logs the size of every random() draw."""
-
-    def __init__(self, rng):
-        self.rng, self.sizes = rng, []
-
-    def random(self, size=None):
-        self.sizes.append(size)
-        return self.rng.random(size)
-
-
 def test_joint_losses_draw_order():
     """A batch draws utterance by utterance: the token mask, then the
     encoder masks, then the LM masks, as a loop of joint_loss calls does.
@@ -123,10 +116,7 @@ def test_joint_losses_draw_order():
     assert rng.random() == fresh.random()
 
     loop_rng = generator(0, "test", "step", 1)
-    loop = []
-    for f, text in batch:
-        inputs = mask_tokens(system.tokenizer.encode(text), 0.5, loop_rng)
-        loop.append(system.joint_loss(f, text, inputs, loop_rng).item())
+    loop = [system.joint_loss(f, text, loop_rng).item() for f, text in batch]
     assert losses.shape == (2,) and losses.data.tolist() == loop
 
 

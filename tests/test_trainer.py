@@ -262,16 +262,25 @@ def test_joint_training_runs_and_logs(pretrain_result, tmp_path):
     assert isinstance(system.transcribe, object)
 
 
-def test_joint_resume_matches_uninterrupted(pretrain_result, tmp_path):
+class Killed(Exception):
+    pass
+
+
+def test_joint_resume_matches_uninterrupted(pretrain_result, tmp_path, monkeypatch):
     result, entries = pretrain_result
     cfg = fast_config(["training.joint.max_steps=20"])
     state = tmp_path / "state.ckpt"
     full = trainer.train_joint(entries, cfg, result.checkpoint)
 
-    # interrupted run: stop after the first evaluation, then resume
-    stopper = iter([True, False, False])
-    trainer.train_joint(entries, cfg, result.checkpoint, state_path=state,
-                        stop_fn=lambda: next(stopper))
+    # interrupted run: killed right after the first state save, then resumed
+    def save_then_kill(path, ckpt):
+        save_checkpoint(path, ckpt)
+        raise Killed
+
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "save_checkpoint", save_then_kill)
+        with pytest.raises(Killed):
+            trainer.train_joint(entries, cfg, result.checkpoint, state_path=state)
     resumed = trainer.train_joint(entries, cfg, result.checkpoint,
                                   state_path=state, resume=True)
     assert resumed.steps == 20
