@@ -24,7 +24,7 @@ MAGIC = b"SLMF"
 VERSION = 1
 
 _DTYPE_CODES = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
 
 class CheckpointError(ValueError):

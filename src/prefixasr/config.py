@@ -28,6 +28,7 @@ LM_PRESETS = {
     "base": dict(d_llm=256, num_layers=6, num_heads=8, ffn_dim=512, max_positions=768),
 }
 MAX_DECODE_TOKENS = 200  # the default cap on greedy-decoded tokens
+MAX_BATCH_SECONDS = 600.0  # 20x the default; 600 s already pads hundreds of utterances
 
 
 def _check_min(section, low: int, *names: str) -> None:
@@ -141,8 +142,8 @@ class TrainingSection:
         if not 0.0 <= self.mask_fraction <= 1.0:
             raise ConfigError("mask_fraction must lie in [0, 1]")
         _check_fraction(self, "valid_fraction")
-        if self.batch_seconds <= 0:
-            raise ConfigError("batch_seconds must be positive")
+        if not 0 < self.batch_seconds <= MAX_BATCH_SECONDS:
+            raise ConfigError(f"batch_seconds must lie in (0, {MAX_BATCH_SECONDS}]")
         if self.eval_interval < 1:
             raise ConfigError("eval_interval must be >= 1")
 

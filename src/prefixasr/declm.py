@@ -28,8 +28,8 @@ LORA_TARGETS = ("wq", "wk", "wv", "wo")
 class LmConfig(LmSection):
     """The config section plus what the tokenizer decides."""
     vocab_size: int
-    bos_id: int = BOS
-    eos_id: int = EOS
+    bos_id = BOS  # class attributes, not fields: the tokenizer fixes them
+    eos_id = EOS
 
 
 class DecoderLM:
@@ -125,8 +125,6 @@ class DecoderLM:
         parts = []
         for audio, ids, n in zip(audio_list, ids_list, lengths):
             m = n - len(ids)
-            if n == 0:
-                raise ValueError("empty mixed sequence")
             if n > cfg.max_positions:
                 raise AudioError(f"sequence overflow: audio={m} + text={len(ids)}"
                                  f" exceeds max_positions={cfg.max_positions}")

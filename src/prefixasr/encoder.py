@@ -25,10 +25,10 @@ from .numcore import Tensor, ops
 from .numcore.rng import generator
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EncoderConfig(EncoderSection):
-    """The config section plus what the data decides."""
-    ctc_vocab: int = 30          # non-blank symbols; head emits ctc_vocab+1
+    """The config section plus what the tokenizer decides."""
+    ctc_vocab: int  # non-blank symbols; head emits ctc_vocab+1
 
 
 class ConformerEncoder:

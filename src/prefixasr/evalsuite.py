@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 
@@ -36,10 +36,11 @@ def normalize_text(text: str) -> str:
 
 @dataclass
 class WerResult:
-    substitutions: int
-    deletions: int
-    insertions: int
-    num_ref_words: int
+    """S/D/I edit counts against num_ref_words reference words."""
+    substitutions: int = 0
+    deletions: int = 0
+    insertions: int = 0
+    num_ref_words: int = 0
 
     @property
     def distance(self) -> int:
@@ -47,7 +48,8 @@ class WerResult:
 
     @property
     def wer(self) -> float:
-        return self.distance / self.num_ref_words
+        """(S+D+I)/N_ref, and 0.0 over no words."""
+        return self.distance / self.num_ref_words if self.num_ref_words else 0.0
 
 
 def wer(reference: str, hypothesis: str, normalize: bool = True) -> WerResult:
@@ -79,17 +81,9 @@ def wer(reference: str, hypothesis: str, normalize: bool = True) -> WerResult:
 
 
 @dataclass
-class LanguageStats:
+class LanguageStats(WerResult):
+    """One language's summed edit counts over its utterances."""
     utterances: int = 0
-    substitutions: int = 0
-    deletions: int = 0
-    insertions: int = 0
-    num_ref_words: int = 0
-
-    @property
-    def wer(self) -> float:
-        errors = self.substitutions + self.deletions + self.insertions
-        return errors / self.num_ref_words if self.num_ref_words else 0.0
 
 
 @dataclass
@@ -158,10 +152,8 @@ def eval_corpus(system, entries) -> EvalReport:
         r = wer(e.text, hyp)
         s = stats.setdefault(e.language, LanguageStats())
         s.utterances += 1
-        s.substitutions += r.substitutions
-        s.deletions += r.deletions
-        s.insertions += r.insertions
-        s.num_ref_words += r.num_ref_words
+        for f in fields(WerResult):
+            setattr(s, f.name, getattr(s, f.name) + getattr(r, f.name))
     return EvalReport(per_language=stats, skipped=skipped,
                       decode_config_digest=config_digest(system.cfg.to_dict()))
 

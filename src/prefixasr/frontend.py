@@ -112,14 +112,13 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
-def mel_filterbank(num_mels: int = NUM_MELS, num_fft: int = NUM_FFT,
-                   sample_rate: int = SAMPLE_RATE) -> np.ndarray:
-    """Triangular filters (num_mels, num_fft//2+1) spanning 0..sample_rate/2."""
-    mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2), num_mels + 2)
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters (NUM_MELS, NUM_FFT//2+1) spanning 0..SAMPLE_RATE/2."""
+    mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(SAMPLE_RATE / 2), NUM_MELS + 2)
     hz_points = _mel_to_hz(mel_points)
-    bins = np.floor((num_fft + 1) * hz_points / sample_rate).astype(int)
-    fb = np.zeros((num_mels, num_fft // 2 + 1), dtype=np.float64)
-    for m in range(1, num_mels + 1):
+    bins = np.floor((NUM_FFT + 1) * hz_points / SAMPLE_RATE).astype(int)
+    fb = np.zeros((NUM_MELS, NUM_FFT // 2 + 1), dtype=np.float64)
+    for m in range(1, NUM_MELS + 1):
         lo, mid, hi = bins[m - 1], bins[m], bins[m + 1]
         for k in range(lo, mid):
             if mid > lo:

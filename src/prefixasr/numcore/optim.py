@@ -9,15 +9,15 @@ import numpy as np
 from .tensor import Tensor, ShapeError
 
 
+BETA1, BETA2, EPS = 0.9, 0.98, 1e-9  # the moments' decay rates and the update's floor
+
+
 class NonFiniteGradientError(RuntimeError):
     """Raised when an update is rejected because a gradient is not finite."""
 
 
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -41,14 +41,14 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray],
             raise NonFiniteGradientError(f"non-finite gradient in param {i}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def schedule_lr(section, step: int) -> float:

@@ -17,6 +17,7 @@ from .numcore import Tensor, no_grad, ops
 from .tokenizer import CharTokenizer, mask_tokens
 
 _STATS = ("frontend.mel_mean", "frontend.mel_std")
+ENCODER_TENSORS = ("encoder.", "frontend.")  # what an encoder checkpoint carries over
 
 
 class AsrSystem:
@@ -147,7 +148,7 @@ class AsrSystem:
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"bad tokenizer: {exc!r}") from exc
         system = cls(cfg, tokenizer, seed=seed)
-        system.load_tensors(ckpt.tensors, ("encoder.", "frontend."))
+        system.load_tensors(ckpt.tensors, ENCODER_TENSORS)
         return system
 
     @classmethod

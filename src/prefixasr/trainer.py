@@ -32,7 +32,7 @@ from .config import RunConfig, StageSection, changed_sections
 from .numcore import (AdamState, NonFiniteGradientError, Tensor, adam_step,
                       clip_grad_norm, no_grad, ops, schedule_lr)
 from .numcore.rng import generator
-from .system import AsrSystem
+from .system import ENCODER_TENSORS, AsrSystem
 from .tokenizer import CharTokenizer, mask_tokens  # noqa: F401 (re-exported)
 
 
@@ -375,7 +375,7 @@ def pretrain_encoder(entries: list[ManifestEntry], cfg: RunConfig,
     system = AsrSystem(cfg, tokenizer, seed=cfg.training.seed)
     params = {k: v for k, v in system.named_params().items() if k.startswith("encoder.")}
     spec = StageSpec("ctc_pretrain", cfg.training.pretrain, system, params,
-                     system.ctc_losses, ("encoder.", "frontend."))
+                     system.ctc_losses, ENCODER_TENSORS)
     return _run_stage(entries, cfg, spec, out_dir, state_path, resume)
 
 

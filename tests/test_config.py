@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixasr.checkpoint import config_digest
-from prefixasr.config import (LM_PRESETS, ConfigError, RunConfig, from_dict,
-                              load_config)
+from prefixasr.config import (LM_PRESETS, MAX_BATCH_SECONDS, ConfigError,
+                              RunConfig, from_dict, load_config)
 
 
 def test_defaults_construct():
@@ -61,6 +61,16 @@ def test_unknown_preset_rejected():
 def test_mask_fraction_bounds():
     with pytest.raises(ConfigError):
         from_dict({"training": {"mask_fraction": 1.5}})
+
+
+def test_batch_seconds_bounded():
+    """A batch of millions of seconds would make sample_batch spin."""
+    cfg = from_dict({"training": {"batch_seconds": MAX_BATCH_SECONDS}})
+    assert cfg.training.batch_seconds == MAX_BATCH_SECONDS
+    with pytest.raises(ConfigError, match="batch_seconds"):
+        from_dict({"training": {"batch_seconds": MAX_BATCH_SECONDS + 0.5}})
+    with pytest.raises(ConfigError, match="batch_seconds"):
+        load_config(overrides=["training.batch_seconds=10000000.0"])
 
 
 def test_yaml_file_and_overrides(tmp_path):

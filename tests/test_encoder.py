@@ -27,15 +27,19 @@ def feats(rng, T):
 class TestConfig:
     def test_head_divisibility_enforced(self):
         with pytest.raises(ValueError):
-            EncoderConfig(d_model=30, num_heads=4)
+            EncoderConfig(d_model=30, num_heads=4, ctc_vocab=5)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
-            EncoderConfig(conv_kernel=10)
+            EncoderConfig(conv_kernel=10, ctc_vocab=5)
+
+    def test_ctc_vocab_required(self):
+        with pytest.raises(TypeError):
+            EncoderConfig()
 
     def test_non_pow2_stride_rejected(self):
         with pytest.raises(ValueError):
-            EncoderConfig(subsample_stride=6)
+            EncoderConfig(subsample_stride=6, ctc_vocab=5)
 
 
 class TestSubsample:

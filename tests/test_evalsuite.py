@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import fast_config
 from prefixasr import evalsuite, frontend, trainer
 from prefixasr.evalsuite import (AlignmentMatrix, EmptyReferenceError,
-                                 EvalReport, LanguageStats, alignment_matrix,
+                                 EvalReport, LanguageStats, WerResult,
+                                 alignment_matrix,
                                  argmax_monotonicity, cosine_matrix,
                                  eval_corpus, export_heatmap, normalize_text,
                                  read_heatmap_csv, read_pgm, wer)
@@ -94,6 +95,11 @@ def test_wer_empty_reference_rejected():
 def test_wer_empty_hypothesis_is_all_deletions():
     r = wer("a b c", "")
     assert r.deletions == 3 and r.wer == 1.0
+
+
+def test_wer_over_no_words_is_zero():
+    assert WerResult().wer == 0.0
+    assert LanguageStats(utterances=2).wer == 0.0
 
 
 def test_wer_applies_normalization():
@@ -200,6 +206,23 @@ def test_eval_corpus_echo_oracle(toy_corpus):
     assert sum(s.utterances for s in report.per_language.values()) == len(entries)
     assert report.skipped == []
     assert report.decode_config_digest
+
+
+def test_eval_corpus_sums_counts_per_language(toy_corpus):
+    _, entries = toy_corpus
+    hyps = ["", *(e.text + " extra" for e in entries[1:])]
+    report = eval_corpus(EchoSystem(hyps), entries)
+    expected = {}
+    for e, hyp in zip(entries, hyps):
+        r = wer(e.text, hyp)
+        s = expected.setdefault(e.language, LanguageStats())
+        s.utterances += 1
+        s.deletions += r.deletions
+        s.insertions += r.insertions
+        s.num_ref_words += r.num_ref_words
+    assert report.per_language == expected
+    assert sum(s.deletions for s in expected.values()) == len(entries[0].text.split())
+    assert sum(s.insertions for s in expected.values()) == len(entries) - 1
 
 
 def test_eval_corpus_records_skips(toy_corpus, tmp_path):

@@ -247,7 +247,7 @@ class TestAdam:
     def test_first_step_moves_by_lr(self):
         # m=0.1, v=0.02; bias-corrected both become 1 -> update = lr
         p = nc.param(np.array([1.0]))
-        state = nc.AdamState(beta1=0.9, beta2=0.98, eps=1e-9)
+        state = nc.AdamState()
         nc.adam_step([p], [np.ones(1, dtype=p.data.dtype)], state, lr=0.1)
         assert abs(p.data[0] - 0.9) < 1e-6
 
