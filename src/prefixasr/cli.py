@@ -2,8 +2,9 @@
 inspect-ckpt.
 
 Exit codes: 0 success, 1 internal error, 2 bad input (arguments, config,
-manifest), 3 bad data file (unreadable audio or checkpoint). A stdout its
-reader closed early (`| head`) is 0: files are written before any printing.
+manifest), 3 bad data file (unreadable audio or checkpoint; an `eval` with
+nothing scorable). A stdout its reader closed early (`| head`) is 0: files
+are written before any printing.
 """
 
 from __future__ import annotations
@@ -130,6 +131,9 @@ def cmd_eval(args) -> int:
     entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
     report = evalsuite.eval_corpus(system, entries)
+    if not report.per_language:
+        raise frontend.AudioError(f"no utterance scorable: {len(report.skipped)} skipped,"
+                                  f" the first: {report.skipped[0]['reason']}")
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.txt").write_text(report.to_table())
     print(report.to_table(), end="")

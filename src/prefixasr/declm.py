@@ -82,9 +82,8 @@ class DecoderLM:
         return ops.lora_linear(x, w, b, self.lora[name + ".down"],
                                self.lora[name + ".up"], self.lora_scale)
 
-    def _block(self, i: int, x: Tensor, mask: np.ndarray | None,
-               att_keep: np.ndarray | None = None,
-               ffn_keep: np.ndarray | None = None) -> Tensor:
+    def _block(self, i: int, x: Tensor, mask: np.ndarray,
+               att_keep: np.ndarray | None, ffn_keep: np.ndarray | None) -> Tensor:
         p = self.params
         pre = f"block{i}."
         h = ops.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
@@ -99,7 +98,7 @@ class DecoderLM:
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
-    def _logits(self, x: Tensor, lengths: list[int], mask: np.ndarray,
+    def _logits(self, x: Tensor, lengths: list[int],
                 rng: np.random.Generator | None = None) -> Tensor:
         """Per-position logits (B, S, vocab) of the embedded right-padded rows
         x (B, S, d) whose items have `lengths` positions: layers, final norm,
@@ -108,19 +107,19 @@ class DecoderLM:
         cfg = self.config
         keeps = dropout_keeps(rng, cfg.dropout, cfg.num_layers, cfg.num_heads,
                               cfg.ffn_dim, lengths)
+        mask = causal_mask(x.shape[1], dtype=x.data.dtype)
         for i, (att_keep, ffn_keep) in enumerate(keeps):
             x = self._block(i, x, mask, att_keep, ffn_keep)
         x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
         return ops.linear(x, self.params["out.w"], self.params["out.b"])
 
-    def _embed(self, audio_list: list[Tensor | None],
+    def _embed(self, audio_list: list[Tensor],
                ids_list: list) -> tuple[Tensor, list[int]]:
         """Rows [audio_i || ids_i] right-padded with zeros to (B, S, d), S the
         longest, with positions 0.. added; and each row's length."""
         cfg = self.config
         tok = self.params["tok"]
-        lengths = [(0 if a is None else a.shape[0]) + len(ids)
-                   for a, ids in zip(audio_list, ids_list)]
+        lengths = [a.shape[0] + len(ids) for a, ids in zip(audio_list, ids_list)]
         S = max(lengths)
         parts = []
         for audio, ids, n in zip(audio_list, ids_list, lengths):
@@ -138,14 +137,14 @@ class DecoderLM:
         x = x.reshape(len(lengths), S, cfg.d_llm)
         return x + ops.narrow(self.params["pos"], 0, 0, S), lengths
 
-    def forward_mixed(self, audio_embeds: Tensor | None, text_ids,
+    def forward_mixed(self, audio_embeds: Tensor, text_ids,
                       rng: np.random.Generator | None = None) -> Tensor:
         """Per-position logits for [audio || text] under a causal mask."""
         x, lengths = self._embed([audio_embeds], [text_ids])
-        logits = self._logits(x, lengths, causal_mask(x.shape[1], dtype=x.data.dtype), rng=rng)
+        logits = self._logits(x, lengths, rng=rng)
         return logits.reshape(*logits.shape[1:])
 
-    def loss_mixed(self, audio_embeds: Tensor | None, text_tokens,
+    def loss_mixed(self, audio_embeds: Tensor, text_tokens,
                    rng: np.random.Generator | None = None,
                    input_tokens=None) -> Tensor:
         """Mean next-token NLL over text positions.
@@ -158,13 +157,12 @@ class DecoderLM:
         inputs = [cfg.bos_id] + list(input_tokens if input_tokens is not None
                                      else text_tokens)
         targets = list(text_tokens) + [cfg.eos_id]
-        M = 0 if audio_embeds is None else audio_embeds.shape[0]
         logits = self.forward_mixed(audio_embeds, inputs, rng=rng)
-        logp = ops.log_softmax(ops.narrow(logits, 0, M, len(targets)))
+        logp = ops.log_softmax(ops.narrow(logits, 0, audio_embeds.shape[0], len(targets)))
         picked = ops.gather_rows(logp, np.asarray(targets))
         return -picked.mean()
 
-    def greedy_decode(self, audio_embeds: Tensor | None,
+    def greedy_decode(self, audio_embeds: Tensor,
                       max_len: int = MAX_DECODE_TOKENS) -> list[int]:
         """Deterministic argmax decoding on plain arrays, off the tape, over
         decode-ready weights built once per call from `merged_params()`: each

@@ -18,8 +18,7 @@ import numpy as np
 
 from .config import EncoderSection
 from .frontend import NUM_MELS, AudioError, FeatureMatrix
-from .layers import (dropout_keeps, init_bias, init_conv_weight,
-                     init_depthwise_weight, init_embedding, init_ones,
+from .layers import (dropout_keeps, init_bias, init_embedding, init_ones,
                      init_weight, padding_masks)
 from .numcore import Tensor, ops
 from .numcore.rng import generator
@@ -41,7 +40,7 @@ class ConformerEncoder:
         self.num_sub = int(math.log2(config.subsample_stride))  # stride-2 convs
         dims = [NUM_MELS] + [c] * self.num_sub
         for i in range(self.num_sub):
-            p[f"sub.conv{i}.w"] = init_conv_weight(rng, 3, dims[i], dims[i + 1])
+            p[f"sub.conv{i}.w"] = init_weight(rng, 3, dims[i], dims[i + 1])
             p[f"sub.conv{i}.b"] = init_bias(dims[i + 1])
         p["sub.proj.w"] = init_weight(rng, dims[-1], config.d_model)
         p["sub.proj.b"] = init_bias(config.d_model)
@@ -57,7 +56,7 @@ class ConformerEncoder:
                 p[pre + name + ".b"] = init_bias(d)
             p[pre + "pw1.w"] = init_weight(rng, d, 2 * d)
             p[pre + "pw1.b"] = init_bias(2 * d)
-            p[pre + "dw.w"] = init_depthwise_weight(rng, k, d)
+            p[pre + "dw.w"] = init_weight(rng, k, d)
             p[pre + "dw.b"] = init_bias(d)
             p[pre + "pw2.w"] = init_weight(rng, d, d)
             p[pre + "pw2.b"] = init_bias(d)

@@ -121,11 +121,9 @@ def mel_filterbank() -> np.ndarray:
     for m in range(1, NUM_MELS + 1):
         lo, mid, hi = bins[m - 1], bins[m], bins[m + 1]
         for k in range(lo, mid):
-            if mid > lo:
-                fb[m - 1, k] = (k - lo) / (mid - lo)
+            fb[m - 1, k] = (k - lo) / (mid - lo)
         for k in range(mid, hi):
-            if hi > mid:
-                fb[m - 1, k] = (hi - k) / (hi - mid)
+            fb[m - 1, k] = (hi - k) / (hi - mid)
     return fb
 
 

@@ -3,6 +3,7 @@ causal and padding masks that ops.attention takes."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -11,9 +12,11 @@ from .numcore import Tensor, param
 from .numcore import ops
 
 
-def init_weight(rng: np.random.Generator, d_in: int, d_out: int) -> Tensor:
-    scale = 1.0 / np.sqrt(d_in)
-    return param(rng.uniform(-scale, scale, size=(d_in, d_out)))
+def init_weight(rng: np.random.Generator, *shape: int) -> Tensor:
+    """Uniform in +-1/sqrt(fan_in), fan_in the product of all extents but the
+    last: (d_in, d_out), conv (k, d_in, d_out) and depthwise (k, C) alike."""
+    scale = 1.0 / np.sqrt(math.prod(shape[:-1]))
+    return param(rng.uniform(-scale, scale, size=shape))
 
 
 def init_bias(d_out: int) -> Tensor:
@@ -22,16 +25,6 @@ def init_bias(d_out: int) -> Tensor:
 
 def init_ones(d_out: int) -> Tensor:
     return param(np.ones(d_out))
-
-
-def init_conv_weight(rng: np.random.Generator, k: int, d_in: int, d_out: int) -> Tensor:
-    scale = 1.0 / np.sqrt(k * d_in)
-    return param(rng.uniform(-scale, scale, size=(k, d_in, d_out)))
-
-
-def init_depthwise_weight(rng: np.random.Generator, k: int, channels: int) -> Tensor:
-    scale = 1.0 / np.sqrt(k)
-    return param(rng.uniform(-scale, scale, size=(k, channels)))
 
 
 def init_embedding(rng: np.random.Generator, num: int, dim: int) -> Tensor:

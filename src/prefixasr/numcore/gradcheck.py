@@ -18,9 +18,6 @@ class GradCheckReport:
     per_param: dict[str, float]
     max_rel_error: float
 
-    def ok(self, tol: float) -> bool:
-        return self.max_rel_error < tol
-
 
 def grad_check(fn, params: dict[str, Tensor], h: float = 1e-5) -> GradCheckReport:
     """Compare analytic gradients of scalar fn() against central differences.

@@ -236,20 +236,20 @@ def swish(a: Tensor) -> Tensor:
     return make(out, (a,), backward)
 
 
-def glu(a: Tensor, axis: int = -1) -> Tensor:
-    """Halve `axis`; first half gated by sigmoid of the second. Backward
-    recomputes the sigmoid from the gate half."""
-    n = a.data.shape[axis]
+def glu(a: Tensor) -> Tensor:
+    """Halve the last axis; first half gated by sigmoid of the second.
+    Backward recomputes the sigmoid from the gate half."""
+    n = a.data.shape[-1]
     if n % 2 != 0:
         raise ShapeError(f"GLU axis size {n} not even")
-    x, gate = np.split(a.data, 2, axis=axis)
+    x, gate = np.split(a.data, 2, axis=-1)
     out = _sigmoid(gate)
     np.multiply(x, out, out=out)
 
     def backward(g):
         sig = _sigmoid(gate)
         ga = np.empty_like(a.data)
-        gx, ggate = np.split(ga, 2, axis=axis)
+        gx, ggate = np.split(ga, 2, axis=-1)
         np.multiply(g, sig, out=gx)
         # g * x * sig * (1 - sig)
         np.multiply(g, x, out=ggate)

@@ -176,6 +176,19 @@ def test_eval_skips_chunk_past_riff_size(trained, tmp_path):
     assert "RIFF size" in skipped[0]["reason"]
 
 
+def test_eval_nothing_scorable_exit_3(trained, tmp_path, caplog):
+    """A WER over zero utterances is no score: exit 3, no report files."""
+    out, _ = trained
+    (tmp_path / "bad.wav").write_bytes(b"not a wav")
+    (tmp_path / "m.jsonl").write_text(json.dumps(
+        {"audio_path": str(tmp_path / "bad.wav"), "text": "a b", "language": "aa"}) + "\n")
+    assert run("eval", "--ckpt", str(out / "model.ckpt"), "--manifest",
+               str(tmp_path / "m.jsonl"), "--out-dir", str(tmp_path)) == cli.EXIT_BAD_DATA
+    assert "1 skipped" in caplog.text
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_eval_writes_report_files(trained, tmp_path):
     out, manifest = trained
     rep = tmp_path / "rep"

@@ -7,7 +7,7 @@ from prefixasr import ctc
 from prefixasr import numcore as nc
 from prefixasr.encoder import ConformerEncoder, EncoderConfig
 from prefixasr.frontend import FeatureMatrix
-from prefixasr.layers import padding_masks
+from prefixasr.layers import init_weight, padding_masks
 from prefixasr.numcore import Tensor, ops
 from prefixasr.numcore.rng import generator
 
@@ -22,6 +22,15 @@ def tiny_config(**kw):
 
 def feats(rng, T):
     return FeatureMatrix(frames=rng.standard_normal((T, 80)).astype(np.float32))
+
+
+@pytest.mark.parametrize("shape,fan_in", [((8, 4), 8), ((3, 8, 4), 24), ((11, 8), 11)],
+                         ids=["linear", "conv", "depthwise"])
+def test_init_weight_bound_is_fan_in_of_all_but_last_extent(shape, fan_in):
+    s = 1 / math.sqrt(fan_in)
+    want = np.random.default_rng(7).uniform(-s, s, size=shape)
+    got = init_weight(np.random.default_rng(7), *shape).data
+    np.testing.assert_array_equal(got, want.astype(got.dtype))
 
 
 class TestConfig:
