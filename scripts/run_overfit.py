@@ -44,13 +44,14 @@ def main():
     cfg = load_config(overrides=OVERRIDES + [f"training.seed={args.seed}"])
 
     t0 = time.time()
-    pre = trainer.pretrain_encoder(entries, cfg, out_dir=out)
+    pre = trainer.pretrain_encoder(entries, cfg, log_path=out / "pretrain_log.csv")
     save_checkpoint(out / "encoder.ckpt", pre.checkpoint)
     t1 = time.time()
     print(f"stage 1 (CTC): {pre.steps} steps, best loss {pre.best_valid:.4f}, "
           f"{t1 - t0:.0f}s, {1e3 * (t1 - t0) / max(pre.steps, 1):.1f} ms/step")
 
-    joint = trainer.train_joint(entries, cfg, pre.checkpoint, out_dir=out)
+    joint = trainer.train_joint(entries, cfg, pre.checkpoint,
+                                log_path=out / "train_log.csv")
     save_checkpoint(out / "model.ckpt", joint.checkpoint)
     t2 = time.time()
     print(f"stage 2 (joint): {joint.steps} steps, best loss {joint.best_valid:.4f}, "

@@ -90,9 +90,8 @@ def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args)
     entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
-    result = trainer.pretrain_encoder(entries, cfg, out_dir=out,
-                                      state_path=out / "pretrain_state.ckpt",
-                                      resume=args.resume)
+    result = trainer.pretrain_encoder(entries, cfg, out / "pretrain_log.csv",
+                                      out / "pretrain_state.ckpt", resume=args.resume)
     return _finish_stage(result, out / "encoder.ckpt")
 
 
@@ -105,8 +104,8 @@ def cmd_train(args) -> int:
     entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
     log.info("audio embedding rate: %.0f ms per embedding", evalsuite.embedding_ms(cfg))
-    result = trainer.train_joint(entries, cfg, encoder_ckpt, out_dir=out,
-                                 state_path=out / "train_state.ckpt", resume=args.resume)
+    result = trainer.train_joint(entries, cfg, encoder_ckpt, out / "train_log.csv",
+                                 out / "train_state.ckpt", resume=args.resume)
     _log_adapters(result.checkpoint)
     return _finish_stage(result, out / "model.ckpt")
 

@@ -117,6 +117,7 @@ class StageSection:
     max_steps: int = 2000
 
     def __post_init__(self):
+        _check_min(self, 0, "warmup_steps", "max_steps")
         if not self.warmup_steps < self.total_steps:
             raise ConfigError("warmup_steps must be below total_steps")
         if not self.peak_lr >= self.final_lr > 0:
@@ -144,8 +145,9 @@ class TrainingSection:
         _check_fraction(self, "valid_fraction")
         if not 0 < self.batch_seconds <= MAX_BATCH_SECONDS:
             raise ConfigError(f"batch_seconds must lie in (0, {MAX_BATCH_SECONDS}]")
-        if self.eval_interval < 1:
-            raise ConfigError("eval_interval must be >= 1")
+        _check_min(self, 1, "eval_interval", "early_stop_evals")
+        if not self.grad_clip >= 0:
+            raise ConfigError("grad_clip must be >= 0 (0 turns clipping off)")
 
 
 @dataclass
@@ -198,10 +200,7 @@ def _build(cls, data: dict, path: str):
         preset = data["preset"]
         if not isinstance(preset, str) or preset not in LM_PRESETS:
             raise ConfigError(f"{path}: unknown lm preset {preset!r}")
-        merged = dict(LM_PRESETS[preset])
-        merged.update({k: v for k, v in data.items() if k != "preset"})
-        merged["preset"] = preset
-        data = merged
+        data = {**LM_PRESETS[preset], **data}
     kwargs = {}
     for name, value in data.items():
         where = f"{path}.{name}" if path else name

@@ -127,14 +127,10 @@ class DecoderLM:
             if n > cfg.max_positions:
                 raise AudioError(f"sequence overflow: audio={m} + text={len(ids)}"
                                  f" exceeds max_positions={cfg.max_positions}")
-            if m:
-                parts.append(audio)
-            if len(ids):
-                parts.append(ops.embedding(tok, np.asarray(ids)))
+            parts += [audio, ops.embedding(tok, np.asarray(ids))]
             if n < S:
                 parts.append(Tensor(np.zeros((S - n, cfg.d_llm), tok.data.dtype)))
-        x = parts[0] if len(parts) == 1 else ops.concat(parts, axis=0)
-        x = x.reshape(len(lengths), S, cfg.d_llm)
+        x = ops.concat(parts, axis=0).reshape(len(lengths), S, cfg.d_llm)
         return x + ops.narrow(self.params["pos"], 0, 0, S), lengths
 
     def forward_mixed(self, audio_embeds: Tensor, text_ids,

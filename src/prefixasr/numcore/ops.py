@@ -15,21 +15,16 @@ LN_EPS = 1e-5  # every layer norm's, on the tape and in the decode's folded norm
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum g down to `shape` after numpy broadcasting."""
+    """Sum g over the leading axes that broadcasting `shape` added."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
     return g.reshape(shape)
 
 
 def _pair(a, b):
-    """Coerce plain scalars to the tensor operand's dtype to avoid upcasts."""
+    """Coerce a plain scalar b to the dtype of tensor a, to avoid upcasts."""
     if isinstance(a, Tensor) and not isinstance(b, Tensor):
         return a, Tensor(np.asarray(b, dtype=a.data.dtype))
-    if isinstance(b, Tensor) and not isinstance(a, Tensor):
-        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
     return as_tensor(a), as_tensor(b)
 
 

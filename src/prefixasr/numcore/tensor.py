@@ -117,9 +117,6 @@ class Tensor:
     def __sub__(self, other):
         return ops.sub(self, other)
 
-    def __rsub__(self, other):
-        return ops.sub(other, self)
-
     def __neg__(self):
         return ops.mul(self, -1.0)
 

@@ -206,10 +206,9 @@ def load_train_state(saved, state_path) -> _TrainState:
     return state
 
 
-def _write_log(out_dir, rows):
-    if out_dir is None:
+def _write_log(path, rows):
+    if path is None:
         return
-    path = Path(out_dir) / "train_log.csv"
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=["step", "lr", "train_loss", "valid_loss"])
         writer.writeheader()
@@ -251,10 +250,10 @@ def _clipped_grads(params: list[Tensor], max_norm: float) -> list[np.ndarray]:
 
 
 def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
-               out_dir, state_path, resume: bool) -> TrainResult:
+               log_path, state_path, resume: bool) -> TrainResult:
     """Optimize spec with validation tracking and resume. A system with no
     feature statistics under frontend.normalize gets them fitted on the
-    training split."""
+    training split. The CSV log at log_path is rewritten at every evaluation."""
     tcfg = cfg.training
     utts = prepare_corpus(entries)
     train_idx, valid_idx = split_indices(len(utts), tcfg.valid_fraction, tcfg.seed)
@@ -351,6 +350,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
                 state.evals_since_best = 0
             else:
                 state.evals_since_best += 1
+            _write_log(log_path, state.log)
             if state_path is not None:
                 save_state()
             if state.evals_since_best >= tcfg.early_stop_evals:
@@ -359,7 +359,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
         state.best_valid = float("nan")
         best = {n: p.data.copy() for n, p in zip(names, params)}
 
-    _write_log(out_dir, state.log)
+    _write_log(log_path, state.log)
     best_model = {**spec.model_tensors(), **best}  # shares the frozen tensors, which never change
     return TrainResult(checkpoint=system.to_checkpoint({"stage": spec.name}, best_model),
                        log=state.log, best_valid=state.best_valid, steps=state.step,
@@ -369,21 +369,21 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
 
 
 def pretrain_encoder(entries: list[ManifestEntry], cfg: RunConfig,
-                     out_dir=None, state_path=None, resume: bool = False) -> TrainResult:
+                     log_path=None, state_path=None, resume: bool = False) -> TrainResult:
     """Stage 1: train encoder + CTC head; returns the best-validation model."""
     tokenizer = CharTokenizer.from_texts([e.text for e in entries])
     system = AsrSystem(cfg, tokenizer, seed=cfg.training.seed)
     params = {k: v for k, v in system.named_params().items() if k.startswith("encoder.")}
     spec = StageSpec("ctc_pretrain", cfg.training.pretrain, system, params,
                      system.ctc_losses, ENCODER_TENSORS)
-    return _run_stage(entries, cfg, spec, out_dir, state_path, resume)
+    return _run_stage(entries, cfg, spec, log_path, state_path, resume)
 
 
 def train_joint(entries: list[ManifestEntry], cfg: RunConfig,
-                encoder_ckpt: ModelCheckpoint, out_dir=None, state_path=None,
+                encoder_ckpt: ModelCheckpoint, log_path=None, state_path=None,
                 resume: bool = False) -> TrainResult:
     """Stage 2: joint training of encoder + bridge + LoRA with text masking."""
     system = AsrSystem.from_encoder_checkpoint(cfg, encoder_ckpt, seed=cfg.training.seed)
     spec = StageSpec("joint", cfg.training.joint, system, system.joint_trainable(),
                      system.joint_losses, ("",))  # "" keeps every tensor
-    return _run_stage(entries, cfg, spec, out_dir, state_path, resume)
+    return _run_stage(entries, cfg, spec, log_path, state_path, resume)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -48,15 +49,26 @@ def trained(tmp_path_factory, toy_corpus, fast_cfg_file):
     return out, manifest
 
 
+def assert_log_is_the_stage_log(out, command):
+    """`command`'s CSV log holds the evaluation rows of its own stage's state
+    file, although pretrain and train shared one --out-dir."""
+    with open(out / f"{command}_log.csv", newline="") as f:
+        rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(f)]
+    state = load_checkpoint(out / f"{command}_state.ckpt").metadata["train_state"]
+    assert [row["step"] for row in rows] == [10, 20, 30]
+    assert rows == state["log"]
+
+
 def test_pretrain_writes_reloadable_checkpoint(trained):
     out, _ = trained
     ckpt = load_checkpoint(out / "encoder.ckpt")
     assert ckpt.metadata["stage"] == "ctc_pretrain"
-    assert (out / "train_log.csv").exists()
+    assert_log_is_the_stage_log(out, "pretrain")
 
 
 def test_train_writes_model_checkpoint(trained):
     out, _ = trained
+    assert_log_is_the_stage_log(out, "train")
     ckpt = load_checkpoint(out / "model.ckpt")
     assert ckpt.metadata["stage"] == "joint"
     assert any(k.startswith("lora.") for k in ckpt.tensors)
@@ -383,6 +395,7 @@ def test_bad_config_override_exit_2(toy_corpus, tmp_path):
     "training.batch_seconds=.inf",
     "training.batch_seconds=.nan",
     "training.batch_seconds=10000000.0",
+    "training.early_stop_evals=0",
     "encoder.d_model=[1",
 ])
 def test_bad_config_value_exit_2(override, toy_corpus, tmp_path):

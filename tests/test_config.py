@@ -73,6 +73,24 @@ def test_batch_seconds_bounded():
         load_config(overrides=["training.batch_seconds=10000000.0"])
 
 
+@pytest.mark.parametrize("override", [
+    "training.pretrain.max_steps=-1",
+    "training.joint.warmup_steps=-5",
+    "training.early_stop_evals=0",
+    "training.early_stop_evals=-3",
+    "training.grad_clip=-1.0",
+])
+def test_out_of_range_training_values_rejected(override):
+    with pytest.raises(ConfigError):
+        load_config(overrides=[override])
+
+
+def test_zero_max_steps_and_grad_clip_load():
+    """A stage of 0 steps trains nothing; a grad_clip of 0 turns clipping off."""
+    cfg = load_config(overrides=["training.joint.max_steps=0", "training.grad_clip=0.0"])
+    assert cfg.training.joint.max_steps == 0 and cfg.training.grad_clip == 0.0
+
+
 def test_yaml_file_and_overrides(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("encoder:\n  num_layers: 3\ntraining:\n  seed: 7\n")

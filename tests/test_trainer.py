@@ -251,7 +251,7 @@ def test_joint_training_runs_and_logs(pretrain_result, tmp_path):
     result, entries = pretrain_result
     cfg = fast_config()
     joint = trainer.train_joint(entries, cfg, result.checkpoint,
-                                out_dir=tmp_path)
+                                log_path=tmp_path / "train_log.csv")
     assert joint.steps == 30
     assert math.isfinite(joint.best_valid)
     log_text = (tmp_path / "train_log.csv").read_text()
@@ -287,6 +287,24 @@ def test_joint_resume_matches_uninterrupted(pretrain_result, tmp_path, monkeypat
     for name, arr in full.checkpoint.tensors.items():
         np.testing.assert_array_equal(resumed.checkpoint.tensors[name], arr,
                                       err_msg=name)
+
+
+def test_killed_stage_leaves_its_log(toy_corpus, tmp_path, monkeypatch):
+    """The log is on disk at every evaluation, before the state save."""
+    _, entries = toy_corpus
+    log = tmp_path / "pretrain_log.csv"
+
+    def save_then_kill(path, ckpt):
+        save_checkpoint(path, ckpt)
+        raise Killed
+
+    monkeypatch.setattr(trainer, "save_checkpoint", save_then_kill)
+    with pytest.raises(Killed):
+        trainer.pretrain_encoder(entries, fast_config(), log_path=log,
+                                 state_path=tmp_path / "state.ckpt")
+    lines = log.read_text().splitlines()
+    assert lines[0] == "step,lr,train_loss,valid_loss"
+    assert [line.split(",")[0] for line in lines[1:]] == ["10"]
 
 
 def test_joint_step_gives_frozen_tensors_no_grad(pretrain_result, monkeypatch):
