@@ -15,8 +15,7 @@ import numpy as np
 
 from .config import MAX_DECODE_TOKENS, LmSection, LoraSection
 from .frontend import AudioError
-from .layers import (causal_mask, dropout_keeps, init_bias, init_embedding,
-                     init_ones, init_weight)
+from .layers import causal_mask, init_bias, init_embedding, init_ones, init_weight
 from .numcore import Tensor, no_grad, ops, param
 from .numcore.rng import generator
 from .tokenizer import BOS, EOS
@@ -98,25 +97,21 @@ class DecoderLM:
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
-    def _logits(self, x: Tensor, lengths: list[int],
-                rng: np.random.Generator | None = None) -> Tensor:
+    def _logits(self, x: Tensor, keeps=None) -> Tensor:
         """Per-position logits (B, S, vocab) of the embedded right-padded rows
-        x (B, S, d) whose items have `lengths` positions: layers, final norm,
-        output projection. The causal mask is the only mask: a valid query
-        never sees the padded keys after it. Dropout runs only with an rng."""
-        cfg = self.config
-        keeps = dropout_keeps(rng, cfg.dropout, cfg.num_layers, cfg.num_heads,
-                              cfg.ffn_dim, lengths)
+        x (B, S, d): layers, final norm, output projection. The causal mask is
+        the only mask: a valid query never sees the padded keys after it.
+        keeps: the per-block (attention, FFN) dropout keep masks; None, no dropout."""
         mask = causal_mask(x.shape[1], dtype=x.data.dtype)
+        keeps = keeps or [(None, None)] * self.config.num_layers
         for i, (att_keep, ffn_keep) in enumerate(keeps):
             x = self._block(i, x, mask, att_keep, ffn_keep)
         x = ops.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
         return ops.linear(x, self.params["out.w"], self.params["out.b"])
 
-    def _embed(self, audio_list: list[Tensor],
-               ids_list: list) -> tuple[Tensor, list[int]]:
+    def _embed(self, audio_list: list[Tensor], ids_list: list) -> Tensor:
         """Rows [audio_i || ids_i] right-padded with zeros to (B, S, d), S the
-        longest, with positions 0.. added; and each row's length."""
+        longest, with positions 0.. added."""
         cfg = self.config
         tok = self.params["tok"]
         lengths = [a.shape[0] + len(ids) for a, ids in zip(audio_list, ids_list)]
@@ -131,17 +126,14 @@ class DecoderLM:
             if n < S:
                 parts.append(Tensor(np.zeros((S - n, cfg.d_llm), tok.data.dtype)))
         x = ops.concat(parts, axis=0).reshape(len(lengths), S, cfg.d_llm)
-        return x + ops.narrow(self.params["pos"], 0, 0, S), lengths
+        return x + ops.narrow(self.params["pos"], 0, 0, S)
 
-    def forward_mixed(self, audio_embeds: Tensor, text_ids,
-                      rng: np.random.Generator | None = None) -> Tensor:
-        """Per-position logits for [audio || text] under a causal mask."""
-        x, lengths = self._embed([audio_embeds], [text_ids])
-        logits = self._logits(x, lengths, rng=rng)
+    def forward_mixed(self, audio_embeds: Tensor, text_ids, keeps=None) -> Tensor:
+        """Per-position logits for [audio || text] under a causal mask (keeps: see _logits)."""
+        logits = self._logits(self._embed([audio_embeds], [text_ids]), keeps)
         return logits.reshape(*logits.shape[1:])
 
-    def loss_mixed(self, audio_embeds: Tensor, text_tokens,
-                   rng: np.random.Generator | None = None,
+    def loss_mixed(self, audio_embeds: Tensor, text_tokens, keeps=None,
                    input_tokens=None) -> Tensor:
         """Mean next-token NLL over text positions.
 
@@ -153,7 +145,7 @@ class DecoderLM:
         inputs = [cfg.bos_id] + list(input_tokens if input_tokens is not None
                                      else text_tokens)
         targets = list(text_tokens) + [cfg.eos_id]
-        logits = self.forward_mixed(audio_embeds, inputs, rng=rng)
+        logits = self.forward_mixed(audio_embeds, inputs, keeps)
         logp = ops.log_softmax(ops.narrow(logits, 0, audio_embeds.shape[0], len(targets)))
         picked = ops.gather_rows(logp, np.asarray(targets))
         return -picked.mean()
@@ -171,7 +163,7 @@ class DecoderLM:
         h, d, P = cfg.num_heads, cfg.d_llm, cfg.max_positions
         dh = d // h
         with no_grad():
-            x = self._embed([audio_embeds], [[cfg.bos_id]])[0].data[0]
+            x = self._embed([audio_embeds], [[cfg.bos_id]]).data[0]
         w = {name: t.data for name, t in self.merged_params().items()}
         layers = []
         for pre in (f"block{i}." for i in range(cfg.num_layers)):

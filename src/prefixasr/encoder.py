@@ -18,8 +18,7 @@ import numpy as np
 
 from .config import EncoderSection
 from .frontend import NUM_MELS, AudioError, FeatureMatrix
-from .layers import (dropout_keeps, init_bias, init_embedding, init_ones,
-                     init_weight, padding_masks)
+from .layers import init_bias, init_embedding, init_ones, init_weight, padding_masks
 from .numcore import Tensor, ops
 from .numcore.rng import generator
 
@@ -99,7 +98,7 @@ class ConformerEncoder:
                         ffn_keep: np.ndarray | None = None) -> Tensor:
         """One block over (U, d) or a padded batch (B, U, d) with its
         layers.padding_masks (None: no item is padded); the keep masks are
-        dropout masks (see layers.dropout_keeps)."""
+        boolean dropout masks (see layers.py)."""
         p = self.params
         pre = f"block{i}."
         cfg = self.config
@@ -129,24 +128,21 @@ class ConformerEncoder:
         x = x + ops.linear(h, p[pre + "ffn2.w"], p[pre + "ffn2.b"])
         return x
 
-    def forward(self, features: Sequence[FeatureMatrix],
-                rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, features: Sequence[FeatureMatrix], keeps=None) -> Tensor:
         """Encode the utterances as one zero-padded (B, T, 80) batch ->
-        (B, U, d_model), U = ceil(T/stride). Dropout runs only with an rng.
+        (B, U, d_model), U = ceil(T/stride). keeps are the per-block (attention,
+        FFN) dropout keep masks over the output lengths; None: no dropout.
 
         Rows past an item's output length hold junk that a loss must ignore.
         """
-        cfg = self.config
         lengths = [f.frames.shape[0] for f in features]
         dtype = self.params["ctc.w"].data.dtype
         frames = np.zeros((len(features), max(lengths), NUM_MELS), dtype)
         for row, f in zip(frames, features):
             row[:len(f.frames)] = f.frames
         x = self.subsample(Tensor(frames), lengths)
-        out_lengths = self.output_lengths(lengths)
-        masks = padding_masks(out_lengths, x.shape[-2], dtype)
-        keeps = dropout_keeps(rng, cfg.dropout, cfg.num_layers, cfg.num_heads,
-                              cfg.ffn_dim, out_lengths)
+        masks = padding_masks(self.output_lengths(lengths), x.shape[-2], dtype)
+        keeps = keeps or [(None, None)] * self.config.num_layers
         for i, (att_keep, ffn_keep) in enumerate(keeps):
             x = self.conformer_block(i, x, masks, att_keep, ffn_keep)
         return x
@@ -154,16 +150,8 @@ class ConformerEncoder:
     def ctc_logits(self, embeddings: Tensor) -> Tensor:
         return ops.linear(embeddings, self.params["ctc.w"], self.params["ctc.b"])
 
-    def encode(self, features: FeatureMatrix, rng: np.random.Generator | None = None):
+    def encode(self, features: FeatureMatrix):
         """Returns (embeddings (U, d_model), ctc log-probs (U, ctc_vocab+1))."""
-        emb = self.forward([features], rng)
+        emb = self.forward([features])
         emb = emb.reshape(*emb.shape[1:])
         return emb, ops.log_softmax(self.ctc_logits(emb))
-
-    def encode_batch(self, features: Sequence[FeatureMatrix],
-                     rng: np.random.Generator | None = None):
-        """Returns (ctc log-probs (B, U, ctc_vocab+1), the real U of each item)."""
-        emb = self.forward(features, rng)
-        return (ops.log_softmax(self.ctc_logits(emb)),
-                self.output_lengths([f.frames.shape[0] for f in features]))
-

@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import EncoderSection, LmSection
 from .numcore import Tensor, param
 from .numcore import ops
 
@@ -31,24 +32,24 @@ def init_embedding(rng: np.random.Generator, num: int, dim: int) -> Tensor:
     return param(0.02 * rng.standard_normal((num, dim)))
 
 
-def dropout_keeps(rng: np.random.Generator | None, p: float, num_layers: int,
-                  num_heads: int, ffn_dim: int, lengths: Sequence[int]
+def dropout_keeps(rng: np.random.Generator | None, cfg: EncoderSection | LmSection,
+                  lengths: Sequence[int]
                   ) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
-    """Boolean dropout keep masks, one byte per entry, for a right-padded
-    batch whose items have `lengths` positions, S = max(lengths): per block,
-    (attention keep (B, h, S, S), FFN keep (B, S, ffn_dim)). Drawn item by
-    item, then block by block, attention first; padding is not kept. All
-    None when there is no rng (not training) or p is 0; then nothing is
-    drawn."""
-    if rng is None or p <= 0.0:
-        return [(None, None)] * num_layers
-    B, S = len(lengths), max(lengths)
-    att = np.zeros((num_layers, B, num_heads, S, S), bool)
-    ffn = np.zeros((num_layers, B, S, ffn_dim), bool)
+    """Boolean dropout keep masks, one byte per entry, of a module with config
+    cfg over a right-padded batch whose items have `lengths` positions,
+    S = max(lengths): per block, (attention keep (B, h, S, S), FFN keep
+    (B, S, ffn_dim)). Drawn item by item, then block by block, attention
+    first; padding is not kept. All None when there is no rng (not training)
+    or the rate is 0; then nothing is drawn."""
+    if rng is None or cfg.dropout <= 0.0:
+        return [(None, None)] * cfg.num_layers
+    B, S, h, f = len(lengths), max(lengths), cfg.num_heads, cfg.ffn_dim
+    att = np.zeros((cfg.num_layers, B, h, S, S), bool)
+    ffn = np.zeros((cfg.num_layers, B, S, f), bool)
     for b, n in enumerate(lengths):
-        for i in range(num_layers):
-            att[i, b, :, :n, :n] = ops.dropout_mask((num_heads, n, n), p, rng)
-            ffn[i, b, :n] = ops.dropout_mask((n, ffn_dim), p, rng)
+        for i in range(cfg.num_layers):
+            att[i, b, :, :n, :n] = ops.dropout_mask((h, n, n), cfg.dropout, rng)
+            ffn[i, b, :n] = ops.dropout_mask((n, f), cfg.dropout, rng)
     return list(zip(att, ffn))
 
 

@@ -13,6 +13,7 @@ from .config import ConfigError, RunConfig, from_dict
 from .declm import DecoderLM, LmConfig
 from .encoder import ConformerEncoder, EncoderConfig
 from .frontend import NUM_MELS, FeatureMatrix, FeatureNormalizer
+from .layers import dropout_keeps
 from .numcore import Tensor, no_grad, ops
 from .tokenizer import CharTokenizer, mask_tokens
 
@@ -62,16 +63,19 @@ class AsrSystem:
 
     # -- forward ----------------------------------------------------------
 
-    def embed_audio(self, features: FeatureMatrix, rng=None) -> Tensor:
-        emb = self.encoder.forward([features], rng)
+    def embed_audio(self, features: FeatureMatrix, keeps=None) -> Tensor:
+        """The (M, d_llm) audio prefix, with the encoder dropout masks keeps."""
+        emb = self.encoder.forward([features], keeps)
         return self.bridge.forward(emb.reshape(*emb.shape[1:]))
 
     def ctc_losses(self, features: list[FeatureMatrix], texts: list[str],
                    rng=None) -> Tensor:
         """Stage-1 loss: the (B,) CTC losses of one padded batch, +inf where
         an utterance has no alignment."""
-        log_probs, lengths = self.encoder.encode_batch(features, rng)
-        return ctc.ctc_losses(log_probs, lengths,
+        enc = self.encoder
+        lengths = enc.output_lengths([f.frames.shape[0] for f in features])
+        emb = enc.forward(features, dropout_keeps(rng, enc.config, lengths))
+        return ctc.ctc_losses(ops.log_softmax(enc.ctc_logits(emb)), lengths,
                               [self.tokenizer.encode_ctc(t) for t in texts])
 
     def joint_losses(self, features: list[FeatureMatrix], texts: list[str],
@@ -86,8 +90,11 @@ class AsrSystem:
         masks."""
         ids = self.tokenizer.encode(text)
         inputs = ids if rng is None else mask_tokens(ids, self.cfg.training.mask_fraction, rng)
-        audio = self.embed_audio(features, rng)
-        return self.lm.loss_mixed(audio, ids, rng=rng, input_tokens=inputs)
+        enc = self.encoder
+        enc_keeps = dropout_keeps(rng, enc.config, enc.output_lengths([len(features.frames)]))
+        audio = self.embed_audio(features, enc_keeps)
+        lm_keeps = dropout_keeps(rng, self.lm.config, [audio.shape[0] + len(ids) + 1])
+        return self.lm.loss_mixed(audio, ids, lm_keeps, input_tokens=inputs)
 
     def transcribe(self, features: FeatureMatrix,
                    max_len: int | None = None) -> str:

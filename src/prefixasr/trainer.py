@@ -190,6 +190,7 @@ class _TrainState:
 
 # what each _TrainState field annotation admits in a saved state (bool never)
 _STATE_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "list[dict]": list}
+_LOG_FIELDS = ("step", "lr", "train_loss", "valid_loss")  # one evaluation's log row
 
 
 def load_train_state(saved, state_path) -> _TrainState:
@@ -203,6 +204,11 @@ def load_train_state(saved, state_path) -> _TrainState:
         if isinstance(value, bool) or not isinstance(value, _STATE_FIELD_TYPES[f.type]):
             raise CheckpointError(f"{state_path}: train_state.{f.name} is {value!r}, "
                                   f"not {f.type}")
+    for row in state.log:
+        if not (isinstance(row, dict) and set(row) == set(_LOG_FIELDS) and all(
+                type(v) in (int, float) for v in row.values())):  # bool is not a number here
+            raise CheckpointError(f"{state_path}: train_state.log row {row!r} does not "
+                                  f"map {', '.join(_LOG_FIELDS)} to numbers")
     return state
 
 
@@ -210,7 +216,7 @@ def _write_log(path, rows):
     if path is None:
         return
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["step", "lr", "train_loss", "valid_loss"])
+        writer = csv.DictWriter(f, fieldnames=_LOG_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
 

@@ -577,6 +577,19 @@ def _log_not_a_list(ckpt):
     ckpt.metadata["train_state"]["log"] = {"step": 1}
 
 
+def _log_row_with_an_extra_key(ckpt):
+    ckpt.metadata["train_state"]["log"][0]["bogus"] = 1
+    return "bogus"
+
+
+def _log_row_not_a_map(ckpt):
+    ckpt.metadata["train_state"]["log"].append(5)
+
+
+def _log_value_a_string(ckpt):
+    ckpt.metadata["train_state"]["log"][0]["lr"] = "0.001"
+
+
 def _adam_tensor_too_wide(ckpt):
     name = min(k for k, v in ckpt.tensors.items() if k.startswith("adam.m.") and v.ndim == 2)
     rows, cols = ckpt.tensors[name].shape
@@ -602,10 +615,14 @@ def _best_tensor_wrong_shape(ckpt):
 
 @pytest.mark.parametrize("damage", [_unknown_state_key, _missing_adam_tensor,
                                     _step_not_an_int, _best_valid_a_bool, _log_not_a_list,
+                                    _log_row_with_an_extra_key, _log_row_not_a_map,
+                                    _log_value_a_string,
                                     _adam_tensor_too_wide, _adam_tensor_0d,
                                     _model_tensor_missing, _best_tensor_wrong_shape],
                          ids=["unknown_state_key", "missing_adam_tensor",
                               "step_not_an_int", "best_valid_a_bool", "log_not_a_list",
+                              "log_row_with_an_extra_key", "log_row_not_a_map",
+                              "log_value_a_string",
                               "adam_tensor_too_wide", "adam_tensor_0d",
                               "model_tensor_missing", "best_tensor_wrong_shape"])
 def test_resume_with_damaged_state_exit_3(damage, trained, fast_cfg_file, tmp_path, caplog):

@@ -1,5 +1,6 @@
 import dataclasses
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from prefixasr.checkpoint import config_digest
 from prefixasr.config import (LM_PRESETS, MAX_BATCH_SECONDS, ConfigError,
                               RunConfig, from_dict, load_config)
+from test_acceptance import OVERFIT_OVERRIDES
 
 
 def test_defaults_construct():
@@ -98,6 +100,13 @@ def test_yaml_file_and_overrides(tmp_path):
     assert cfg.encoder.num_layers == 3
     assert cfg.training.seed == 9  # override beats the file
     assert cfg.lora.rank == 0
+
+
+def test_shipped_overfit_config_is_criterion_5s():
+    """scripts/overfit.yaml, the README's overfit recipe, is the config of
+    the acceptance overfit run, so the two cannot drift apart."""
+    path = Path(__file__).parents[1] / "scripts" / "overfit.yaml"
+    assert load_config(path) == load_config(overrides=OVERFIT_OVERRIDES)
 
 
 def test_yaml_file_reads_floats_without_a_dot(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prefixasr import numcore as nc
+from prefixasr.config import LmSection
 from prefixasr.declm import DecoderLM, LmConfig
 from prefixasr.frontend import AudioError
 from prefixasr.layers import dropout_keeps
@@ -146,8 +147,9 @@ def batched_losses(lm, audio, texts, rng=None):
     the logits and each row's mean next-token loss, taken as loss_mixed
     takes it."""
     cfg = lm.config
-    x, lengths = lm._embed(audio, [[cfg.bos_id] + t for t in texts])
-    logits = lm._logits(x, lengths, rng=rng)
+    x = lm._embed(audio, [[cfg.bos_id] + t for t in texts])
+    lengths = [a.shape[0] + 1 + len(t) for a, t in zip(audio, texts)]
+    logits = lm._logits(x, dropout_keeps(rng, cfg, lengths))
     losses = []
     for b, (a, t) in enumerate(zip(audio, texts)):
         M = a.shape[0]
@@ -181,7 +183,8 @@ class TestBatchedRows:
 
             row_drop = generator(10, "drop")
             for i, (a, t) in enumerate(zip(audio, texts)):
-                row = lm.forward_mixed(a, [lm.config.bos_id] + t, rng=row_drop).data
+                keeps = dropout_keeps(row_drop, lm.config, [a.shape[0] + 1 + len(t)])
+                row = lm.forward_mixed(a, [lm.config.bos_id] + t, keeps).data
                 np.testing.assert_allclose(logits.data[i, :row.shape[0]], row,
                                            rtol=0, atol=1e-12)
             assert drop.random() == row_drop.random()
@@ -189,9 +192,10 @@ class TestBatchedRows:
             for t in trainable.values():
                 t.grad = None
             loop_drop = generator(10, "drop")
-            loop_total = lm.loss_mixed(audio[0], texts[0], rng=loop_drop)
-            for a, t in zip(audio[1:], texts[1:]):
-                loop_total = loop_total + lm.loss_mixed(a, t, rng=loop_drop)
+            loop = [lm.loss_mixed(a, t, dropout_keeps(loop_drop, lm.config,
+                                                      [a.shape[0] + 1 + len(t)]))
+                    for a, t in zip(audio, texts)]
+            loop_total = sum(loop[1:], loop[0])
             np.testing.assert_allclose(total.data, loop_total.data, rtol=0, atol=1e-12)
             loop_total.backward()
             for name, t in trainable.items():
@@ -223,12 +227,17 @@ class TestBatchedRows:
             lm._embed([audio(rng, 2), audio(rng, 60)], [[2, 3], [2] * 5])
 
 
+def keep_config(num_layers, num_heads, ffn_dim, dropout):
+    return LmSection(num_layers=num_layers, num_heads=num_heads, ffn_dim=ffn_dim,
+                     dropout=dropout)
+
+
 class TestDropoutKeeps:
     def test_padding_is_zero_and_rows_are_per_item_draws(self):
         """Per item, then per block, attention before FFN; 0 in padding."""
         lengths, h, f = [3, 5, 1], 2, 4
         rng = generator(0, "keep")
-        keeps = dropout_keeps(rng, 0.3, 2, h, f, lengths)
+        keeps = dropout_keeps(rng, keep_config(2, h, f, 0.3), lengths)
         ref = generator(0, "keep")
         for b, n in enumerate(lengths):
             for att, ffn in keeps:
@@ -243,9 +252,9 @@ class TestDropoutKeeps:
         assert rng.random() == ref.random()
 
     def test_no_rng_or_zero_rate_draws_nothing(self):
-        assert dropout_keeps(None, 0.3, 2, 2, 4, [3]) == [(None, None)] * 2
+        assert dropout_keeps(None, keep_config(2, 2, 4, 0.3), [3]) == [(None, None)] * 2
         rng = generator(0, "keep")
-        assert dropout_keeps(rng, 0.0, 2, 2, 4, [3]) == [(None, None)] * 2
+        assert dropout_keeps(rng, keep_config(2, 2, 4, 0.0), [3]) == [(None, None)] * 2
         assert rng.random() == generator(0, "keep").random()
 
 

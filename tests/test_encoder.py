@@ -7,7 +7,7 @@ from prefixasr import ctc
 from prefixasr import numcore as nc
 from prefixasr.encoder import ConformerEncoder, EncoderConfig
 from prefixasr.frontend import FeatureMatrix
-from prefixasr.layers import init_weight, padding_masks
+from prefixasr.layers import dropout_keeps, init_weight, padding_masks
 from prefixasr.numcore import Tensor, ops
 from prefixasr.numcore.rng import generator
 
@@ -64,7 +64,9 @@ class TestSubsample:
         assert enc.params["sub.proj.w"].shape == (80, 16)
         emb, logp = enc.encode(feats(rng, 10))
         assert emb.shape == (10, 16) and logp.shape == (10, 6)
-        logp, lengths = enc.encode_batch([feats(rng, 10), feats(rng, 7)])
+        batch = [feats(rng, 10), feats(rng, 7)]
+        logp = ops.log_softmax(enc.ctc_logits(enc.forward(batch)))
+        lengths = enc.output_lengths([f.frames.shape[0] for f in batch])
         assert logp.shape == (2, 10, 6) and lengths == [10, 7]
 
     def test_constant_input_gives_identical_frames(self):
@@ -181,13 +183,20 @@ class TestBatched:
                     p.grad = None
                 step_rng = generator(0, "test", "step", 1)
                 if batched:
-                    log_probs, frames = enc.encode_batch(feats, rng=step_rng)
-                    losses = ctc.ctc_losses(log_probs, frames, labels)
+                    frames = enc.output_lengths([f.frames.shape[0] for f in feats])
+                    emb = enc.forward(feats, dropout_keeps(step_rng, enc.config, frames))
+                    losses = ctc.ctc_losses(ops.log_softmax(enc.ctc_logits(emb)), frames,
+                                            labels)
                     values = losses.data.tolist()
                     total = ops.embedding(losses, np.flatnonzero(np.isfinite(losses.data))).sum()
                 else:
-                    losses = [ctc.ctc_loss(enc.encode(f, rng=step_rng)[1], l)
-                              for f, l in zip(feats, labels)]
+                    losses = []
+                    for f, l in zip(feats, labels):
+                        keeps = dropout_keeps(step_rng, enc.config,
+                                              enc.output_lengths([f.frames.shape[0]]))
+                        emb = enc.forward([f], keeps)
+                        emb = emb.reshape(*emb.shape[1:])
+                        losses.append(ctc.ctc_loss(ops.log_softmax(enc.ctc_logits(emb)), l))
                     values = [l.item() for l in losses]
                     kept = [l for l in losses if l.item() != math.inf]
                     total = kept[0]

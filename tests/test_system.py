@@ -63,6 +63,25 @@ def test_joint_loss_dropout_draw_order():
     assert rng.random() == fresh.random()
 
 
+def test_ctc_losses_dropout_draw_order():
+    """Stage 1 draws the batch's encoder masks item by item, each block's
+    attention then FFN mask over the item's own U frames, and nothing else."""
+    system = make_system(["encoder.dropout=0.1", "encoder.num_layers=2"])
+    enc = system.cfg.encoder
+    rng = RecordingRng(generator(0, "test", "step", 1))
+    losses = system.ctc_losses([feats(70, seed=1), feats(45, seed=2)], ["abc", "de"], rng)
+    assert losses.shape == (2,)
+    # U = ceil(T/8) = 9 and 6 frames
+    want = []
+    for U in (9, 6):
+        want += [(enc.num_heads, U, U), (U, enc.ffn_dim)] * enc.num_layers
+    assert rng.sizes == want
+    fresh = generator(0, "test", "step", 1)
+    for size in want:
+        fresh.random(size)
+    assert rng.random() == fresh.random()
+
+
 def test_joint_step_working_set():
     """The traced peak of one joint step's loss plus backward at the default
     model size, dropout on, over a 15 s and a 12 s utterance: 17.1 MB with
