@@ -46,13 +46,6 @@ class InputError(ValueError):
     """Bad arguments, config, or manifest (exit code 2)."""
 
 
-def _load_run_config(args):
-    cfg = load_config(args.config, args.set)
-    if getattr(args, "seed", None) is not None:
-        cfg.training.seed = args.seed
-    return cfg
-
-
 def _load_ckpt(path):
     if not Path(path).is_file():
         raise InputError(f"checkpoint not found (or not a file): {path}")
@@ -87,7 +80,7 @@ def _finish_stage(result: trainer.TrainResult, ckpt_path: Path) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set)
     entries = trainer.read_manifest(args.manifest)
     out = _out_dir(args)
     result = trainer.pretrain_encoder(entries, cfg, out / "pretrain_log.csv",
@@ -96,7 +89,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set)
     encoder_ckpt = _load_ckpt(args.ckpt)
     if changed := changed_sections(encoder_ckpt.config, cfg):
         raise CheckpointError(f"{args.ckpt}: the encoder checkpoint was trained "
@@ -124,7 +117,7 @@ def cmd_eval(args) -> int:
     ckpt = _load_ckpt(args.ckpt)
     system = AsrSystem.from_checkpoint(ckpt)
     if args.config is not None:
-        if changed := changed_sections(ckpt.config, _load_run_config(args)):
+        if changed := changed_sections(ckpt.config, load_config(args.config, args.set)):
             raise CheckpointError(f"{args.ckpt}: the checkpoint has a different "
                                   f"{', '.join(changed)} config than --config")
     entries = trainer.read_manifest(args.manifest)
@@ -190,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Speech recognition via audio-embedding-prefixed language modeling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=False, manifest=False, ckpt=False, seed=False):
+    def common(p, config=False, manifest=False, ckpt=False):
         if config:
             p.add_argument("--config", help="YAML run configuration")
             p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -199,18 +192,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--manifest", required=True, help="JSONL utterance manifest")
         if ckpt:
             p.add_argument("--ckpt", required=True, help="checkpoint file")
-        if seed:
-            p.add_argument("--seed", type=int, help="override training seed")
         p.add_argument("--out-dir", help="output directory (default: cwd)")
 
     p = sub.add_parser("pretrain", help="stage 1: CTC-pretrain the encoder")
-    common(p, config=True, manifest=True, seed=True)
+    common(p, config=True, manifest=True)
     p.add_argument("--resume", action="store_true",
                    help="continue from the saved training state in --out-dir")
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("train", help="stage 2: joint training from an encoder checkpoint")
-    common(p, config=True, manifest=True, ckpt=True, seed=True)
+    common(p, config=True, manifest=True, ckpt=True)
     p.add_argument("--resume", action="store_true",
                    help="continue from the saved training state in --out-dir")
     p.set_defaults(fn=cmd_train)

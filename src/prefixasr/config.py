@@ -22,7 +22,7 @@ class ConfigError(ValueError):
     pass
 
 
-LM_PRESETS = {
+LM_PRESETS = {  # lm.preset=NAME loads as the widths of NAME; explicit lm keys win
     "tiny": dict(d_llm=128, num_layers=2, num_heads=4, ffn_dim=256, max_positions=512),
     "small": dict(d_llm=192, num_layers=4, num_heads=4, ffn_dim=384, max_positions=512),
     "base": dict(d_llm=256, num_layers=6, num_heads=8, ffn_dim=512, max_positions=768),
@@ -41,11 +41,6 @@ def _check_fraction(section, *names: str) -> None:
     for name in names:
         if not 0.0 <= getattr(section, name) < 1.0:
             raise ConfigError(f"{name} must lie in [0, 1)")
-
-
-@dataclass
-class FrontendSection:
-    normalize: bool = True
 
 
 @dataclass
@@ -83,7 +78,6 @@ class BridgeSection:
 
 @dataclass
 class LmSection:
-    preset: str = "tiny"  # its widths are the defaults below
     d_llm: int = LM_PRESETS["tiny"]["d_llm"]
     num_layers: int = LM_PRESETS["tiny"]["num_layers"]
     num_heads: int = LM_PRESETS["tiny"]["num_heads"]
@@ -160,7 +154,6 @@ class EvalSection:
 
 @dataclass
 class RunConfig:
-    frontend: FrontendSection = field(default_factory=FrontendSection)
     encoder: EncoderSection = field(default_factory=EncoderSection)
     bridge: BridgeSection = field(default_factory=BridgeSection)
     lm: LmSection = field(default_factory=LmSection)
@@ -193,14 +186,15 @@ def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected a mapping")
     hints = typing.get_type_hints(cls)
-    unknown = set(data) - set(hints)
-    if unknown:
-        raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
     if cls is LmSection and "preset" in data:
         preset = data["preset"]
         if not isinstance(preset, str) or preset not in LM_PRESETS:
             raise ConfigError(f"{path}: unknown lm preset {preset!r}")
         data = {**LM_PRESETS[preset], **data}
+        del data["preset"]
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
         where = f"{path}.{name}" if path else name

@@ -29,13 +29,16 @@ class AsrSystem:
         self.cfg = cfg
         self.tokenizer = tokenizer
         self.normalizer = normalizer
-        self.encoder = ConformerEncoder(EncoderConfig(
-            **asdict(cfg.encoder), ctc_vocab=tokenizer.ctc_vocab_size), seed=seed)
-        self.bridge = Bridge(StackConfig(
-            n=cfg.bridge.stack_n, d_encoder=cfg.encoder.d_model,
-            d_llm=cfg.lm.d_llm), seed=seed)
-        self.lm = DecoderLM(LmConfig(**asdict(cfg.lm), vocab_size=tokenizer.vocab_size),
-                            seed=seed, lora_rank=cfg.lora.rank, lora_alpha=cfg.lora.alpha)
+        try:  # numpy refuses a size it cannot allocate or index
+            self.encoder = ConformerEncoder(EncoderConfig(
+                **asdict(cfg.encoder), ctc_vocab=tokenizer.ctc_vocab_size), seed=seed)
+            self.bridge = Bridge(StackConfig(
+                n=cfg.bridge.stack_n, d_encoder=cfg.encoder.d_model,
+                d_llm=cfg.lm.d_llm), seed=seed)
+            self.lm = DecoderLM(LmConfig(**asdict(cfg.lm), vocab_size=tokenizer.vocab_size),
+                                seed=seed, lora_rank=cfg.lora.rank, lora_alpha=cfg.lora.alpha)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(f"cannot build the model: {exc}") from exc
 
     # -- parameter groups -------------------------------------------------
 
@@ -122,12 +125,11 @@ class AsrSystem:
                      prefixes: tuple[str, ...] = ("",)) -> None:
         """Load the system tensors whose names start with one of `prefixes`.
         Under those prefixes `tensors` must hold exactly named_params(), plus
-        finite (80,) feature statistics with std > 0 when frontend.normalize
-        is on; they become the normalizer."""
+        finite (80,) feature statistics with std > 0; they become the
+        normalizer."""
         params = self.named_params()
         expected = {k: v.shape for k, v in params.items()}
-        if self.cfg.frontend.normalize:
-            expected.update(dict.fromkeys(_STATS, (NUM_MELS,)))
+        expected.update(dict.fromkeys(_STATS, (NUM_MELS,)))
         expected = {k: v for k, v in expected.items() if k.startswith(prefixes)}
         check_tensors(expected, {k: v for k, v in tensors.items() if k.startswith(prefixes)},
                       "checkpoint")
@@ -147,9 +149,7 @@ class AsrSystem:
         """Start joint training from an encoder-pretraining checkpoint.
 
         Only encoder weights and feature statistics carry over; bridge, LM
-        and adapters are freshly initialized from `seed`. With
-        frontend.normalize off there is no normalizer, as in training.
-        """
+        and adapters are freshly initialized from `seed`."""
         try:
             tokenizer = CharTokenizer.from_dict(ckpt.metadata["tokenizer"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -165,10 +165,9 @@ class AsrSystem:
         the config the checkpoint was trained under, and to_checkpoint() is
         the merged, lora.rank 0 checkpoint."""
         try:
-            cfg = from_dict(ckpt.config)
+            system = cls.from_encoder_checkpoint(from_dict(ckpt.config), ckpt)
         except ConfigError as exc:
             raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
-        system = cls.from_encoder_checkpoint(cfg, ckpt)
         system.load_tensors(ckpt.tensors)
         lm = system.lm
         for name, t in lm.merged_params().items():

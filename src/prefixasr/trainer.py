@@ -258,8 +258,8 @@ def _clipped_grads(params: list[Tensor], max_norm: float) -> list[np.ndarray]:
 def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
                log_path, state_path, resume: bool) -> TrainResult:
     """Optimize spec with validation tracking and resume. A system with no
-    feature statistics under frontend.normalize gets them fitted on the
-    training split. The CSV log at log_path is rewritten at every evaluation."""
+    feature statistics gets them fitted on the training split. The CSV log
+    at log_path is rewritten at every evaluation."""
     tcfg = cfg.training
     utts = prepare_corpus(entries)
     train_idx, valid_idx = split_indices(len(utts), tcfg.valid_fraction, tcfg.seed)
@@ -268,7 +268,7 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
     hours = hours_by_language(train_utts)
     valid_chunks = _chunk_by_duration(valid_utts, tcfg.batch_seconds)
     system = spec.system
-    if cfg.frontend.normalize and system.normalizer is None:
+    if system.normalizer is None:
         system.normalizer = frontend.FeatureNormalizer.fit(
             [u.features.frames for u in train_utts])
     for name, t in system.named_params().items():
@@ -304,9 +304,8 @@ def _run_stage(entries: list[ManifestEntry], cfg: RunConfig, spec: StageSpec,
         for i, n in enumerate(names):
             adam.m[i][...] = saved.tensors["adam.m." + n]
             adam.v[i][...] = saved.tensors["adam.v." + n]
-    if system.normalizer is not None:  # final here; a resumed stage has the saved ones
-        for u in utts:
-            u.features.frames = system.normalizer.apply(u.features.frames)
+    for u in utts:  # the statistics are final here; a resumed stage has the saved ones
+        u.features.frames = system.normalizer.apply(u.features.frames)
 
     def save_state():
         state.adam_step = adam.step

@@ -10,6 +10,7 @@ import pytest
 
 from prefixasr import trainer
 from prefixasr.config import load_config
+from prefixasr.frontend import FeatureNormalizer
 from prefixasr.toydata import write_toy_corpus
 
 # small model + short schedules for fast unit tests
@@ -37,6 +38,11 @@ FAST_OVERRIDES = [
 
 def fast_config(extra=()):
     return load_config(overrides=FAST_OVERRIDES + list(extra))
+
+
+def unit_normalizer():
+    """Feature statistics that leave features as they are."""
+    return FeatureNormalizer(mean=np.zeros(80, np.float32), std=np.ones(80, np.float32))
 
 
 @pytest.fixture(scope="session")

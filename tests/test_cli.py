@@ -1,18 +1,23 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (FAST_OVERRIDES, LIST_PAST_RIFF_SIZE, fast_config,
+from conftest import (FAST_OVERRIDES, LIST_PAST_RIFF_SIZE, fast_config, unit_normalizer,
                       write_patched_rate_wav, write_truncated_wav)
 from prefixasr import cli
 from prefixasr.checkpoint import file_digest, load_checkpoint, save_checkpoint
+from prefixasr.config import RunConfig
 from prefixasr.system import AsrSystem
 from prefixasr.tokenizer import CharTokenizer
 
@@ -80,7 +85,7 @@ def test_pretrain_same_seed_identical_digest(toy_corpus, fast_cfg_file,
     for sub in ("a", "b"):
         assert run("pretrain", "--config", fast_cfg_file, "--manifest",
                    str(manifest), "--out-dir", str(tmp_path / sub),
-                   "--seed", "5") == 0
+                   "--set", "training.seed=5") == 0
     assert file_digest(tmp_path / "a" / "encoder.ckpt") == \
         file_digest(tmp_path / "b" / "encoder.ckpt")
 
@@ -352,8 +357,8 @@ def test_cli_import_leaves_scipy_out():
 @pytest.mark.parametrize("override", ["encoder.max_frames=8", "lm.max_positions=4"])
 def test_audio_past_position_table_exit_3(override, toy_corpus, tmp_path):
     _, entries = toy_corpus
-    system = AsrSystem(fast_config([override, "frontend.normalize=false"]),
-                       CharTokenizer.from_texts([e.text for e in entries]))
+    system = AsrSystem(fast_config([override]),
+                       CharTokenizer.from_texts([e.text for e in entries]), unit_normalizer())
     save_checkpoint(tmp_path / "model.ckpt", system.to_checkpoint())
     assert run("transcribe", "--ckpt", str(tmp_path / "model.ckpt"),
                entries[0].audio_path) == cli.EXIT_BAD_DATA
@@ -397,6 +402,7 @@ def test_bad_config_override_exit_2(toy_corpus, tmp_path):
     "training.batch_seconds=10000000.0",
     "training.early_stop_evals=0",
     "encoder.d_model=[1",
+    "lm.max_positions=1000000000000000000",  # numpy refuses it before allocating
 ])
 def test_bad_config_value_exit_2(override, toy_corpus, tmp_path):
     manifest, _ = toy_corpus
@@ -449,6 +455,93 @@ def test_unknown_subcommand_exit_2():
     assert run("frobnicate") == cli.EXIT_BAD_INPUT
 
 
+def _error_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+
+def test_model_out_of_memory_exit_2(toy_corpus, tmp_path, caplog, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 954. GiB for an array")
+
+    monkeypatch.setattr("prefixasr.system.DecoderLM", out_of_memory)
+    manifest, _ = toy_corpus
+    assert run("pretrain", "--manifest", str(manifest), "--out-dir", str(tmp_path),
+               "--set", "training.pretrain.max_steps=0") == cli.EXIT_BAD_INPUT
+    assert _error_lines(caplog) == ["cannot build the model: Unable to allocate 954. GiB "
+                                    "for an array"]
+
+
+@pytest.mark.parametrize("section,value,named", [
+    ("lm", {"max_positions": 10**18}, "cannot build the model"),
+    ("frontend", {"normalize": True}, "unknown keys ['frontend']"),
+], ids=["too_large_to_build", "removed_frontend_section"])
+def test_checkpoint_config_that_cannot_build_exit_3(section, value, named, trained,
+                                                    toy_corpus, tmp_path, caplog):
+    out, _ = trained
+    ckpt = load_checkpoint(out / "model.ckpt")
+    ckpt.config[section] = {**ckpt.config.get(section, {}), **value}
+    save_checkpoint(tmp_path / "model.ckpt", ckpt)
+    assert run("transcribe", "--ckpt", str(tmp_path / "model.ckpt"),
+               toy_corpus[1][0].audio_path) == cli.EXIT_BAD_DATA
+    [message] = _error_lines(caplog)
+    assert message.startswith("invalid checkpoint config") and named in message
+
+
+def test_preset_and_its_widths_spelled_out_are_one_config(toy_corpus, fast_cfg_file,
+                                                          tmp_path):
+    """fast.yaml sets every width that `small` changes, so pretraining under
+    lm.preset=small and training without it use one model and one config."""
+    manifest, _ = toy_corpus
+    common = ["--config", fast_cfg_file, "--set", "training.pretrain.max_steps=2",
+              "--set", "training.joint.max_steps=2", "--manifest", str(manifest),
+              "--out-dir", str(tmp_path)]
+    assert run("pretrain", *common, "--set", "lm.preset=small") == 0
+    assert run("train", *common, "--ckpt", str(tmp_path / "encoder.ckpt")) == 0
+
+
+def _leaf_keys(cls=RunConfig, prefix=""):
+    """Every settable dotted key of the schema with its type."""
+    keys = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            keys.update(_leaf_keys(hint, f"{prefix}{name}."))
+        else:
+            keys[prefix + name] = hint
+    return keys
+
+
+# small well-typed values, weighted so that most drawn configs build
+WELL_TYPED = {int: ["1", "2", "4", "8", "16"] * 3 + ["0", "3", "48"],
+              float: ["0.1", "0.5", "1e-4"] * 3 + ["0", "1", "16.0"]}
+WRONG_TYPE = ["abc", "[1]", "null", "nan", "1e999"]
+
+
+@st.composite
+def _set_values(draw):
+    keys = _leaf_keys()
+    chosen = draw(st.lists(st.sampled_from(sorted(keys)), max_size=4))
+    return [f"{k}={draw(st.sampled_from(WELL_TYPED[keys[k]] + WRONG_TYPE))}" for k in chosen]
+
+
+def test_any_set_values_exit_0_or_2(toy_corpus, fast_cfg_file, tmp_path):
+    """pretrain over drawn --set values builds the system or rejects the
+    config; with max_steps=0 last, nothing trains."""
+    manifest, _ = toy_corpus
+    codes = []
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_set_values())
+    def check(values):
+        sets = [a for v in [*values, "training.pretrain.max_steps=0"] for a in ("--set", v)]
+        code = run("pretrain", "--config", fast_cfg_file, *sets, "--manifest",
+                   str(manifest), "--out-dir", str(tmp_path))
+        assert code in (cli.EXIT_OK, cli.EXIT_BAD_INPUT), values
+        codes.append(code)
+
+    check()
+    assert codes.count(cli.EXIT_OK) >= len(codes) / 3
+
+
 def test_resume_matches_uninterrupted(toy_corpus, fast_cfg_file, tmp_path):
     manifest, _ = toy_corpus
     a, b = tmp_path / "full", tmp_path / "halves"
@@ -489,20 +582,6 @@ def test_resume_over_wrong_kind_of_state_file_exit_3(source, trained, fast_cfg_f
     shutil.copy(out / source, tmp_path / "pretrain_state.ckpt")
     assert run("pretrain", "--config", fast_cfg_file, "--manifest", str(manifest),
                "--out-dir", str(tmp_path), "--resume") == cli.EXIT_BAD_DATA
-
-
-def test_no_normalizer_when_normalization_is_off(toy_corpus, fast_cfg_file, tmp_path):
-    from prefixasr.system import AsrSystem
-    manifest, _ = toy_corpus
-    common = ["--config", fast_cfg_file, "--set", "frontend.normalize=false",
-              "--set", "training.pretrain.max_steps=2",
-              "--set", "training.joint.max_steps=2",
-              "--manifest", str(manifest), "--out-dir", str(tmp_path)]
-    assert run("pretrain", *common) == 0
-    assert run("train", *common, "--ckpt", str(tmp_path / "encoder.ckpt")) == 0
-    system = AsrSystem.from_checkpoint(load_checkpoint(tmp_path / "model.ckpt"))
-    assert system.cfg.frontend.normalize is False
-    assert system.normalizer is None
 
 
 def _drop_tokenizer(ckpt):

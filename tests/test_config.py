@@ -44,9 +44,18 @@ def test_default_lm_is_the_tiny_preset():
 def test_config_digests_pinned():
     """Checkpoints store these digests; a default that moves breaks them."""
     assert config_digest(RunConfig().to_dict()) == (
-        "b679543e5ad7920cb3dfd5d222918d12868f57b3452a8a2c80e45f392cc20e38")
+        "02aa0ca8f08a857b4571af4892a30669fc5a8cf01feb9ec8e4976c8fbedb8706")
     assert config_digest(load_config(overrides=["lm.preset=base"]).to_dict()) == (
-        "d61974b8f1b7be7226ebd79a057a93f9c78e5d235fc4ef6d85f57664aecaea21")
+        "c747908c27e85061d1f2a70a31912ac68732c8b24287713cd58f19b22b5ebe27")
+
+
+def test_preset_loads_as_the_widths_it_names():
+    """A saved config holds the widths only, so the two spellings of one
+    model are one config."""
+    spelled = [f"lm.{k}={v}" for k, v in LM_PRESETS["base"].items()]
+    by_preset = load_config(overrides=["lm.preset=base"]).to_dict()
+    assert by_preset == load_config(overrides=spelled).to_dict()
+    assert "preset" not in by_preset["lm"]
 
 
 def test_preset_fields_can_be_overridden():
@@ -130,9 +139,8 @@ def test_override_reads_floats_without_a_dot():
 
 
 def test_override_types_parsed_as_yaml():
-    cfg = load_config(overrides=["frontend.normalize=false",
-                                 "training.batch_seconds=12.5"])
-    assert cfg.frontend.normalize is False
+    cfg = load_config(overrides=["lora.rank=4", "training.batch_seconds=12.5"])
+    assert cfg.lora.rank == 4
     assert cfg.training.batch_seconds == 12.5
 
 

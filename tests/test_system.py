@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fast_config
+from conftest import fast_config, unit_normalizer
 from prefixasr.checkpoint import CheckpointError
 from prefixasr.config import load_config
 from prefixasr.frontend import FeatureMatrix, FeatureNormalizer
@@ -14,10 +14,10 @@ from prefixasr.tokenizer import CharTokenizer
 
 
 def make_system(extra=(), seed=0):
-    """A system with no normalizer, so its config has normalization off."""
-    cfg = fast_config(["frontend.normalize=false", *extra])
+    """A system whose feature statistics leave features as they are."""
+    cfg = fast_config(extra)
     tok = CharTokenizer.from_texts(["abc de"])
-    return AsrSystem(cfg, tok, seed=seed)
+    return AsrSystem(cfg, tok, unit_normalizer(), seed=seed)
 
 
 def feats(T=70, seed=0):
@@ -202,8 +202,9 @@ def test_load_tensors_rejects_missing_tensor():
     system.load_tensors(bad, ("bridge.",))
 
 
-def test_load_tensors_needs_feature_statistics_when_normalizing():
-    system = make_system(["frontend.normalize=true"])
+def test_load_tensors_needs_feature_statistics():
+    system = make_system()
+    system.normalizer = None
     with pytest.raises(CheckpointError, match=r"frontend\.mel_mean saved none"):
         system.load_tensors(system.all_tensors())
 
